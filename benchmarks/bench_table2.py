@@ -29,5 +29,10 @@ def test_table2_width_selection(benchmark):
 
 
 def test_optimizer_is_fast_enough_for_index_creation(benchmark):
-    """Section 3.1.1: 'the cost of enumeration is small'."""
-    benchmark(lambda: (optimize_disk_first(16384), optimize_cache_first(16384)))
+    """Section 3.1.1: 'the cost of enumeration is small'.
+
+    Both optimizers are memoized, so the uncached functions are timed.
+    """
+    benchmark(
+        lambda: (optimize_disk_first.__wrapped__(16384), optimize_cache_first.__wrapped__(16384))
+    )

@@ -11,7 +11,9 @@ with every node prefetched on visit, is::
 
 where T1 is the full miss latency and Tnext the additional pipelined-miss
 latency.  As in the paper, the enumeration is cheap (at most 32x32
-combinations) and is done once at index-creation time.
+combinations) and is done once at index-creation time; the disk-first and
+cache-first optimizers are also memoized, since they are pure functions of
+their arguments returning frozen results, and every tree construction asks.
 
 Byte-layout constants are chosen to match the paper's reported fan-outs
 exactly (Table 2): a 64-byte page header, a 4-byte in-page node header for
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "search_cost",
@@ -104,6 +107,7 @@ def _inpage_tree_leaves(usable: int, levels: int, nonleaf_bytes: int, leaf_bytes
     return best
 
 
+@lru_cache(maxsize=256)
 def optimize_disk_first(
     page_size: int,
     key_size: int = 4,
@@ -195,6 +199,7 @@ class CacheFirstWidths:
     cost_ratio: float
 
 
+@lru_cache(maxsize=256)
 def optimize_cache_first(
     page_size: int,
     key_size: int = 4,

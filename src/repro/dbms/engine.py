@@ -133,9 +133,14 @@ class MiniDbms:
         self.table = HeapTable(self.store, schema)
         self.index = self._make_index(index_kind, num_rows)
 
+        # One workload serves the heap, the index and the load generators
+        # (which read only its keys), so it is built once.
         workload = KeyWorkload(num_rows, seed=seed)
-        rng = np.random.default_rng(seed + 1)
         keys, __ = workload.bulkload_arrays()
+        # Every key's payload is drawn in full-universe order, even on a
+        # shard, so a row's contents are a pure function of its key — a
+        # sharded fleet stores byte-identical rows to the unsharded database.
+        values = np.random.default_rng(seed + 1).integers(0, 1 << 31, size=keys.size)
         self.key_range = key_range
         if key_range is not None:
             # A shard of a fleet: store only the keys inside [lo, hi).  The
@@ -151,27 +156,17 @@ class MiniDbms:
                 mask &= keys < hi
             if not mask.any():
                 raise ValueError(f"key_range {key_range} holds no stored keys")
-            # Draw every key's payload in full-universe order, so a row's
-            # contents are a pure function of its key — a sharded fleet
-            # stores byte-identical rows to the unsharded database.
-            for key, keep in zip(keys.tolist(), mask.tolist()):
-                value = int(rng.integers(0, 1 << 31))
-                if keep:
-                    self.table.insert_row(int(key), value, int(key) % 997)
-            keys = keys[mask]
-        else:
-            for key in keys.tolist():
-                self.table.insert_row(int(key), int(rng.integers(0, 1 << 31)), int(key) % 997)
+            keys, values = keys[mask], values[mask]
+        self.table.load_rows(keys, values, keys % 997)
         #: The keys this database actually stores (the full universe, or
         #: this shard's slice of it) — what load generators should target.
         self.stored_keys = keys
         # Tuple ids are row positions; the index maps k1 -> tid.
-        self._workload = KeyWorkload(num_rows, seed=seed)
+        self._workload = workload
         if mature:
             # The paper's table is populated by concurrent inserts, so the
             # index grows through page splits rather than pure bulkload.
-            index_workload = KeyWorkload(num_rows, seed=seed)
-            build_mature_tree(self.index, index_workload, bulk_fraction=0.7)
+            build_mature_tree(self.index, workload, bulk_fraction=0.7)
         else:
             tids = np.arange(1, keys.size + 1, dtype=np.int64)
             self.index.bulkload(keys, tids)

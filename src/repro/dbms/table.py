@@ -66,19 +66,47 @@ class HeapTable:
         self._tail: Optional[HeapPage] = None
         self.num_rows = 0
 
-    def insert_row(self, k1: int, k2: int, k3: int) -> int:
-        """Append a row; returns its tuple id (page index * capacity + slot)."""
+    def _open_tail(self) -> HeapPage:
+        """The tail page, first allocating a fresh one if it is missing or full."""
         if self._tail is None or self._tail.count >= self.rows_per_page:
             self._tail = HeapPage(self.rows_per_page)
             self._page_ids.append(self.store.allocate(self._tail))
-        slot = self._tail.count
-        self._tail.k1[slot] = k1
-        self._tail.k2[slot] = k2
-        self._tail.k3[slot] = k3
-        self._tail.count += 1
+        return self._tail
+
+    def insert_row(self, k1: int, k2: int, k3: int) -> int:
+        """Append a row; returns its tuple id (page index * capacity + slot)."""
+        page = self._open_tail()
+        slot = page.count
+        page.k1[slot] = k1
+        page.k2[slot] = k2
+        page.k3[slot] = k3
+        page.count += 1
         self.num_rows += 1
         self.store.mark_dirty(self._page_ids[-1])
         return (len(self._page_ids) - 1) * self.rows_per_page + slot
+
+    def load_rows(self, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray) -> None:
+        """Append many rows a page at a time (the bulk form of :meth:`insert_row`).
+
+        Rows land on the same pages, slots and tuple ids, and pages are
+        allocated in the same order, as one :meth:`insert_row` per row;
+        each touched page is marked dirty once, after its slice is copied.
+        """
+        total = len(k1)
+        if not len(k2) == len(k3) == total:
+            raise ValueError(f"column lengths differ: {len(k1)}, {len(k2)}, {len(k3)}")
+        done = 0
+        while done < total:
+            page = self._open_tail()
+            take = min(self.rows_per_page - page.count, total - done)
+            rows = slice(page.count, page.count + take)
+            page.k1[rows] = k1[done : done + take]
+            page.k2[rows] = k2[done : done + take]
+            page.k3[rows] = k3[done : done + take]
+            page.count += take
+            self.num_rows += take
+            done += take
+            self.store.mark_dirty(self._page_ids[-1])
 
     def rebind(self, page_ids: list[int]) -> None:
         """Adopt a recovered store's surviving heap pages.

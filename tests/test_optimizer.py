@@ -1,7 +1,10 @@
 """Tests for the node-width optimizer (paper Section 3.1.1 / Table 2)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from repro.core import inpage
 from repro.core.optimizer import (
     CACHE_FIRST_NODE_HEADER_BYTES,
     PAGE_HEADER_BYTES,
@@ -111,6 +114,28 @@ class TestCacheFirstTable2:
         nodes_per_page = (16384 - PAGE_HEADER_BYTES) // node_bytes
         assert nonleaf == 69
         assert nodes_per_page == 23
+
+
+class TestMemoization:
+    @pytest.mark.parametrize("optimize", [optimize_disk_first, optimize_cache_first])
+    def test_repeated_calls_share_one_frozen_result(self, optimize):
+        first, second = optimize(8192), optimize(8192)
+        assert first == second
+        with pytest.raises(FrozenInstanceError):
+            first.page_fanout = 0
+        assert optimize(8192) == second
+
+    @pytest.mark.parametrize("optimize", [optimize_disk_first, optimize_cache_first])
+    def test_arguments_are_part_of_the_key(self, optimize):
+        assert optimize(4096) != optimize(16384)
+        assert optimize(16384, key_size=4) != optimize(16384, key_size=8)
+
+    def test_cached_value_equals_uncached(self):
+        assert optimize_disk_first(4096) == optimize_disk_first.__wrapped__(4096)
+        assert optimize_cache_first(4096) == optimize_cache_first.__wrapped__(4096)
+
+    def test_inpage_binds_the_cached_function(self):
+        assert inpage.optimize_disk_first is optimize_disk_first
 
 
 class TestMicroIndexTable2:
