@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..des import Environment
+from ..span import leaf_span
 from ..storage.buffer import BufferPool
 from ..storage.config import DiskParameters, StorageConfig
 from ..storage.disk import DiskArray
 from ..storage.pager import PageStore
 from ..storage.prefetch import AsyncPageReader
 
-__all__ = ["ScanTiming", "timed_range_scan", "leaf_pids_for_span", "first_key_of_leaf_page"]
+__all__ = ["ScanTiming", "timed_range_scan", "leaf_pids_for_span"]
 
 
 @dataclass(frozen=True)
@@ -123,29 +124,4 @@ def leaf_pids_for_span(tree, start_key: int, end_key: int) -> tuple[list[int], l
     Works for any of the four disk-resident index structures.  The second
     list (up to 64 following pages) feeds the overshooting ablation.
     """
-    import numpy as np
-
-    pids = tree.leaf_page_ids()
-    firsts = [first_key_of_leaf_page(tree, pid) for pid in pids]
-    lo = max(int(np.searchsorted(np.asarray(firsts), start_key, side="right")) - 1, 0)
-    hi = max(int(np.searchsorted(np.asarray(firsts), end_key, side="right")) - 1, lo)
-    return pids[lo : hi + 1], pids[hi + 1 : hi + 65]
-
-
-def first_key_of_leaf_page(tree, pid: int) -> int:
-    """Smallest key stored in a leaf page, for any supported tree type."""
-    from ..baselines.disk_btree import DiskBPlusTree
-    from ..core.cache_first import CacheFirstFpTree
-    from ..core.disk_first import DiskFirstFpTree
-
-    if isinstance(tree, DiskBPlusTree):  # covers micro-indexing too
-        return int(tree.store.page(pid).keys[0])
-    if isinstance(tree, DiskFirstFpTree):
-        for node in tree.store.page(pid).leaf_nodes_in_order():
-            if node.count:
-                return int(node.keys[0])
-        return 0
-    if isinstance(tree, CacheFirstFpTree):
-        first = tree._first_leaf_of_page(tree.store.page(pid))
-        return int(first.keys[0]) if first is not None and first.count else 0
-    raise TypeError(f"unsupported tree type {type(tree)!r}")
+    return leaf_span(tree, start_key, end_key, following=64)

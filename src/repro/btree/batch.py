@@ -28,8 +28,8 @@ the batch is given:
 
 * ``cc=None`` (the serving layer's ``concurrency="none"``): tree mutations
   are atomic between DES yields, but a split can still land *between* the
-  batch's yields and stale-route a key.  The batch snapshots
-  ``MiniDbms.leaf_map_epoch()`` at the start and, at every leaf visit,
+  batch's yields and stale-route a key.  The batch snapshots the leaf-topology
+  fingerprint ``MiniDbms.leaf_map_epoch()`` at the start and, at every leaf visit,
   falls back to an atomic fresh ``index.search`` for the affected keys the
   moment the epoch moved — the batched results are always what a
   per-key ``serve_lookup`` would have returned.

@@ -176,50 +176,36 @@ class DiskFirstFpTree(Index):
         self.pool.invalidate(self.root_pid)
 
         per_page = max(1, int(self.layout.page_fanout * fill))
-        level_pids: list[int] = []
-        level_firsts: list[int] = []
-        start = 0
-        prev_pid = INVALID_PAGE_ID
-        for size in chunk_evenly(len(keys), per_page):
-            pid = self._new_page(level=0)
-            page = self.store.page(pid)
-            self._rebuild_page(
-                pid, page, keys[start : start + size], tids[start : start + size], spread=True
-            )
-            page.prev_page = prev_pid
-            if prev_pid != INVALID_PAGE_ID:
-                self.store.page(prev_pid).next_page = pid
-            level_pids.append(pid)
-            level_firsts.append(int(keys[start]))
-            prev_pid = pid
-            start += size
-        self.first_leaf_pid = level_pids[0]
-
-        level = 1
-        while len(level_pids) > 1:
-            parent_pids: list[int] = []
-            parent_firsts: list[int] = []
+        # Bottom-up, one chained level at a time: leaf pages spread their
+        # entries over in-page nodes; upper pages pack their children's
+        # first keys.
+        entries, ptrs, level = keys, tids, 0
+        while True:
+            level_pids: list[int] = []
+            starts: list[int] = []
             start = 0
             prev_pid = INVALID_PAGE_ID
-            for size in chunk_evenly(len(level_pids), per_page):
+            for size in chunk_evenly(len(entries), per_page):
                 pid = self._new_page(level=level)
                 page = self.store.page(pid)
                 self._rebuild_page(
-                    pid,
-                    page,
-                    np.asarray(level_firsts[start : start + size], dtype=self.keyspec.dtype),
-                    np.asarray(level_pids[start : start + size], dtype=np.uint32),
-                    spread=False,
+                    pid, page, entries[start : start + size], ptrs[start : start + size],
+                    spread=level == 0,
                 )
                 page.prev_page = prev_pid
                 if prev_pid != INVALID_PAGE_ID:
                     self.store.page(prev_pid).next_page = pid
-                parent_pids.append(pid)
-                parent_firsts.append(level_firsts[start])
+                level_pids.append(pid)
+                starts.append(start)
                 prev_pid = pid
                 start += size
-            level_pids, level_firsts = parent_pids, parent_firsts
+            if level == 0:
+                self.first_leaf_pid = level_pids[0]
             level += 1
+            if len(level_pids) == 1:
+                break
+            entries = entries[starts]
+            ptrs = np.asarray(level_pids, dtype=np.uint32)
         self.root_pid = level_pids[0]
         self.height = level
         self._entries = int(keys.size)
@@ -451,7 +437,6 @@ class DiskFirstFpTree(Index):
         if len(sizes) > 1 and use_stagger:
             preallocated_root = layout.new_node(page, NONLEAF, hint=root_hint)
         leaf_nodes: list[InPageNode] = []
-        firsts: list[int] = []
         start = 0
         single_leaf_hint = root_hint if (len(sizes) == 1 and use_stagger) else 0
         for size in sizes:
@@ -462,34 +447,37 @@ class DiskFirstFpTree(Index):
             node.ptrs[:size] = ptrs[start : start + size]
             node.count = size
             leaf_nodes.append(node)
-            firsts.append(int(keys[start]))
             start += size
+        self._index_leaf_nodes(pid, page, leaf_nodes, preallocated_root)
 
+    def _index_leaf_nodes(
+        self, pid: int, page: FpPage, leaf_nodes: list[InPageNode],
+        root: Optional[InPageNode] = None,
+    ) -> None:
+        """Build the in-page non-leaf levels over ``leaf_nodes`` (in key
+        order) and set the page's root; ``root`` is a node already reserved
+        for the top level, freed if a single leaf node needs none."""
         current = leaf_nodes
-        current_firsts = firsts
         while len(current) > 1:
-            chunks = chunk_evenly(len(current), layout.nonleaf_capacity)
+            chunks = chunk_evenly(len(current), self.layout.nonleaf_capacity)
             parents: list[InPageNode] = []
-            parent_firsts: list[int] = []
             start = 0
             for size in chunks:
-                if len(chunks) == 1 and preallocated_root is not None:
-                    parent = preallocated_root
-                    preallocated_root = None
+                if len(chunks) == 1 and root is not None:
+                    parent, root = root, None
                 else:
-                    parent = layout.new_node(page, NONLEAF)
+                    parent = self.layout.new_node(page, NONLEAF)
                 if parent is None:
-                    raise IndexCorruptionError(f"page rebuild overflow (non-leaf) in page {pid}")
-                parent.keys[:size] = current_firsts[start : start + size]
-                parent.ptrs[:size] = [child.line for child in current[start : start + size]]
+                    raise IndexCorruptionError(f"page {pid} cannot hold its non-leaf nodes")
+                children = current[start : start + size]
+                parent.keys[:size] = [int(child.keys[0]) for child in children]
+                parent.ptrs[:size] = [child.line for child in children]
                 parent.count = size
                 parents.append(parent)
-                parent_firsts.append(current_firsts[start])
                 start += size
-            current, current_firsts = parents, parent_firsts
-        if preallocated_root is not None:
-            # The reservation turned out to be unused (single leaf node).
-            self.layout.free_node(page, preallocated_root)
+            current = parents
+        if root is not None:
+            self.layout.free_node(page, root)
         page.root_line = current[0].line
 
     def _rebuild_page_from_nodes(self, pid: int, page: FpPage, leaf_nodes: list[InPageNode]) -> None:
@@ -499,7 +487,6 @@ class DiskFirstFpTree(Index):
         arrays) are preserved; only placement and the small non-leaf index
         over them are reconstructed.
         """
-        layout = self.layout
         page.nodes.clear()
         page.alloc.clear()
         live = [n for n in leaf_nodes if n.count]
@@ -514,25 +501,7 @@ class DiskFirstFpTree(Index):
                 raise IndexCorruptionError(f"page {pid} cannot hold its leaf nodes")
             node.line = line
             page.nodes[line] = node
-        firsts = [int(n.keys[0]) for n in live]
-        current: list[InPageNode] = list(live)
-        current_firsts = firsts
-        while len(current) > 1:
-            parents: list[InPageNode] = []
-            parent_firsts: list[int] = []
-            start = 0
-            for size in chunk_evenly(len(current), layout.nonleaf_capacity):
-                parent = layout.new_node(page, NONLEAF)
-                if parent is None:
-                    raise IndexCorruptionError(f"page {pid} cannot hold its non-leaf nodes")
-                parent.keys[:size] = current_firsts[start : start + size]
-                parent.ptrs[:size] = [child.line for child in current[start : start + size]]
-                parent.count = size
-                parents.append(parent)
-                parent_firsts.append(current_firsts[start])
-                start += size
-            current, current_firsts = parents, parent_firsts
-        page.root_line = current[0].line
+        self._index_leaf_nodes(pid, page, live)
 
     def _charge_nonleaf_rebuild(self, page: FpPage, base: int) -> None:
         """Charge touching the (small) in-page non-leaf structure."""

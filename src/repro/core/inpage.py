@@ -111,9 +111,6 @@ class FpPage:
         self.next_page = INVALID_PAGE_ID
         self.prev_page = INVALID_PAGE_ID
 
-    def node_at(self, line: int) -> InPageNode:
-        return self.nodes[line]
-
     @property
     def root(self) -> InPageNode:
         return self.nodes[self.root_line]
@@ -134,6 +131,19 @@ class FpPage:
 
         visit(self.root_line)
         return out
+
+    def first_key(self) -> Optional[int]:
+        """Smallest key in the page (``None`` if empty), by a leftmost
+        in-page descent that backtracks only past empty leaf nodes."""
+
+        def first(line: int) -> Optional[int]:
+            node = self.nodes[line]
+            if node.kind == LEAF:
+                return int(node.keys[0]) if node.count else None
+            keys = map(first, node.ptrs[: node.count].tolist())  # lazy: stops at a hit
+            return next((key for key in keys if key is not None), None)
+
+        return first(self.root_line) if self.root_line >= 0 else None
 
 
 class DiskFirstLayout:

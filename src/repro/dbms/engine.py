@@ -38,6 +38,7 @@ from ..core.disk_first import DiskFirstFpTree
 from ..des import Environment, Store
 from ..faults import FaultInjector, FaultPlan, StorageFault
 from ..obs import MetricsRegistry, Observability, QueryTrace, Tracer
+from ..span import leaf_span
 from ..storage.buffer import BufferPool
 from ..storage.config import DiskParameters, StorageConfig
 from ..storage.disk import DiskArray
@@ -123,11 +124,7 @@ class MiniDbms:
         self._num_rows_hint = num_rows
         self.wal: Optional[WalManager] = None
         self.last_recovery: Optional[RecoveryStats] = None
-        #: Leaf-map cache (see :meth:`cached_leaf_map`); the generation
-        #: counter distinguishes pre- and post-recovery index objects.
-        self._leaf_map_cache: Optional[tuple[np.ndarray, list[int]]] = None
-        self._leaf_map_epoch: Optional[tuple] = None
-        self._index_generation = 0
+        self._index_generation = 0  # bumped by recovery; see leaf_map_epoch
         self.env = TreeEnvironment(page_size=page_size, buffer_pages=64)
         self.store = self.env.store
         self.table = HeapTable(self.store, schema)
@@ -427,29 +424,15 @@ class MiniDbms:
     # queueing — actually happen.  The serving layer
     # (:mod:`repro.serve`) drives them.
 
-    def leaf_key_map(self) -> tuple[np.ndarray, list[int]]:
-        """(first keys, leaf page ids) in leaf order, for range planning.
-
-        Recompute after inserts: page splits add leaves.  The serving layer
-        caches this and invalidates on its write path.
-        """
-        from ..bench.io_scan import first_key_of_leaf_page  # late: avoids a cycle
-
-        pids = self.index.leaf_page_ids()
-        firsts = np.asarray(
-            [first_key_of_leaf_page(self.index, pid) for pid in pids], dtype=np.int64
-        )
-        return firsts, pids
-
     def leaf_map_epoch(self) -> tuple:
         """Cheap fingerprint of the leaf-page topology.
 
         Changes whenever a split adds a leaf, a free/merge removes one, the
         root grows, or recovery swaps the whole index out — every event
-        that can make a cached :meth:`leaf_key_map` route a scan through a
-        stale leaf snapshot.  The ``getattr`` fallbacks keep alternate
-        index kinds (which lack split counters) safe: their epoch then
-        tracks page count and identity only.
+        that can stale a batch lookup's level-wise routing across a DES
+        yield (:mod:`repro.btree.batch`).  The ``getattr`` fallbacks keep
+        alternate index kinds (which lack split counters) safe: their epoch
+        then tracks page count and identity only.
         """
         index = self.index
         return (
@@ -460,20 +443,6 @@ class MiniDbms:
             getattr(index, "root_pid", -1),
             getattr(index, "first_leaf_pid", -1),
         )
-
-    def cached_leaf_map(self) -> tuple[np.ndarray, list[int]]:
-        """Epoch-validated leaf map: recomputed iff the topology moved.
-
-        This replaces the serving layer's manual invalidate-on-insert: a
-        split triggered by *any* path (a concurrent writer, recovery, a
-        direct ``insert``) bumps the epoch, so concurrent scans can never
-        route through a stale snapshot.
-        """
-        epoch = self.leaf_map_epoch()
-        if self._leaf_map_cache is None or self._leaf_map_epoch != epoch:
-            self._leaf_map_cache = self.leaf_key_map()
-            self._leaf_map_epoch = epoch
-        return self._leaf_map_cache
 
     def serve_lookup(self, reader, key: int, page_process_us: float = 150.0, owner=None):
         """Process generator: point lookup through a shared serving substrate.
@@ -552,17 +521,10 @@ class MiniDbms:
         for pid in self.index.page_path(start_key)[:-1]:
             yield from reader.demand(pid)
             yield env.timeout(page_process_us)
-        # Resolve the covering leaf span only *after* the descent's blocking
-        # reads: a split landing between the yields above re-routes the scan
-        # instead of leaving it on the stale side of the boundary.  (The
-        # epoch-checked cache makes this resolution O(1) when nothing moved;
-        # splits during the span walk below are the same residual window
-        # per-key lookups live with, and untruncated counts come from an
-        # atomic fresh range_scan at the end.)
-        firsts, pids = self.cached_leaf_map()
-        lo = max(int(np.searchsorted(firsts, start_key, side="right")) - 1, 0)
-        hi = max(int(np.searchsorted(firsts, end_key, side="right")) - 1, lo)
-        span_pids = pids[lo : hi + 1]
+        # Resolve the span from the live leaf chain *after* the descent's
+        # blocking reads, so a split landing between them re-routes the scan
+        # (untruncated counts come from an atomic range_scan at the end).
+        span_pids, __ = leaf_span(self.index, start_key, end_key)
         truncated = max_pages is not None and len(span_pids) > max_pages
         if truncated:
             span_pids = span_pids[:max_pages]
@@ -705,5 +667,4 @@ class MiniDbms:
         self.table.rebind(heap_page_ids)
         self.last_recovery = stats
         self._index_generation += 1
-        self._leaf_map_cache = None
         return stats

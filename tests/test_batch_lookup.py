@@ -32,6 +32,7 @@ from repro.btree.cc import _route_in_page, _search_leaf_page
 from repro.des import Environment
 from repro.dbms.engine import MiniDbms
 from repro.serve.server import DbmsServer
+from repro.span import first_key_of_leaf_page
 from repro.storage import AsyncPageReader, BufferPool, DiskArray, StorageConfig
 
 
@@ -220,7 +221,8 @@ def test_epoch_fallback_keeps_batch_correct_across_split():
     (``concurrency="none"`` semantics: same answers as per-key serve_lookup)."""
     db = make_db()
     env, reader, __ = make_substrate(db)
-    firsts, pids = db.leaf_key_map()
+    pids = db.index.leaf_page_ids()
+    firsts = [first_key_of_leaf_page(db.index, pid) for pid in pids]
     mid = len(pids) // 2
     lo, hi = int(firsts[mid]), int(firsts[mid + 1])
     keys = [int(k) for k in db._workload.keys if lo <= int(k) < hi]

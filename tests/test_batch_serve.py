@@ -40,6 +40,7 @@ from repro.faults.schedule import ChaosSchedule
 from repro.serve.loadgen import OpenLoopLoadGenerator
 from repro.serve.resilience import BrownoutConfig, BrownoutController
 from repro.serve.server import DbmsServer
+from repro.span import first_key_of_leaf_page
 from repro.storage import AsyncPageReader, BufferPool, DiskArray, RetryPolicy, StorageConfig
 from repro.verify.linearizability import HistoryRecorder, check_linearizable
 from repro.workloads.ops import OpMix
@@ -223,7 +224,8 @@ def test_truncated_scan_follows_mid_descent_split():
     db = MiniDbms(num_rows=400, num_disks=2, page_size=512, seed=7, mature=False)
     env, reader = make_substrate(db)
     existing = set(int(k) for k in db._workload.keys)
-    firsts, pids = db.leaf_key_map()
+    pids = db.index.leaf_page_ids()
+    firsts = [first_key_of_leaf_page(db.index, pid) for pid in pids]
     mid = len(pids) // 2
     lo, hi = int(firsts[mid]), int(firsts[mid + 1])
     old_leaf = pids[mid]

@@ -168,34 +168,6 @@ def test_crash_during_concurrent_split_is_deterministic(crash_split_runs):
 # -- satellite regressions -----------------------------------------------------
 
 
-def test_leaf_map_cache_tracks_splits():
-    """The cached leaf map must not go stale across page splits."""
-    db = MiniDbms(num_rows=300, num_disks=2, page_size=512, seed=3, mature=False)
-    first = db.cached_leaf_map()
-    assert db.cached_leaf_map() is first  # epoch unchanged: cache hit
-    splits_before = db.index.page_splits
-    key = int(db._workload.keys[-1])
-    while db.index.page_splits == splits_before:
-        key += 2
-        db.insert(key)
-    refreshed = db.cached_leaf_map()
-    assert refreshed is not first
-    # The refreshed map routes to the key's current leaf; a stale map from
-    # before the split could not know the new page.
-    __, pids = refreshed
-    assert db.index.page_path(key)[-1] in [int(p) for p in pids]
-
-
-def test_leaf_map_cache_invalidated_by_recovery():
-    schedule = ChaosSchedule.parse("", seed=1)
-    db = MiniDbms(num_rows=200, num_disks=2, page_size=1024, seed=3, mature=False)
-    db.enable_wal(schedule.to_fault_plan(), checkpoint_interval=4)
-    first = db.cached_leaf_map()
-    db.insert(int(db._workload.keys[-1]) + 2)
-    db.crash_and_recover()
-    assert db.cached_leaf_map() is not first  # generation bumped
-
-
 def test_scrub_counters_surface_in_stats_snapshot():
     stats = ServerStats()
     assert stats.scrubs == 0 and stats.scrub_violations == 0

@@ -10,6 +10,8 @@ drift, byte-identical exports per seed, and trace/stats reconciliation.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.dbms import MiniDbms
@@ -91,6 +93,25 @@ class TestHistogram:
     def test_bounds_must_increase(self):
         with pytest.raises(ValueError):
             Histogram("bad", bounds=(10.0, 10.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bounds=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12, unique=True).map(sorted),
+        picks=st.lists(st.integers(0, 11), max_size=20),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+    )
+    def test_bisect_placement_matches_linear_rule(self, bounds, picks, values):
+        """Each value lands in the first bucket whose bound is >= it; values
+        past the last bound, and NaN, land in overflow."""
+        # Values exactly on a bound, plus arbitrary ones and NaN.
+        values = values + [bounds[i % len(bounds)] for i in picks] + [float("nan")]
+        h = Histogram("lat", bounds=bounds)
+        expected = [0] * (len(bounds) + 1)
+        for v in values:
+            h.record(v)
+            expected[next((i for i, b in enumerate(bounds) if v <= b), len(bounds))] += 1
+        assert h.counts == expected
+        assert h.counts[-1] >= 1  # the NaN
 
 
 class TestMetricAttrFacade:

@@ -256,7 +256,7 @@ def test_buffer_pool_exhausted_names_pin_holders():
         buffer_pool_pages=2, disk=db.disk_params,
     )
     pool = BufferPool(config, db.store)
-    __, pids = db.leaf_key_map()
+    pids = db.index.leaf_page_ids()
     with pool.pinned(int(pids[0]), owner="session-a#1"):
         with pool.pinned(int(pids[1]), owner="session-b#2"):
             with pytest.raises(BufferPoolExhausted) as excinfo:

@@ -3,7 +3,8 @@
 import pytest
 
 from repro import CacheFirstFpTree, DiskBPlusTree, DiskFirstFpTree, TreeEnvironment
-from repro.bench.io_scan import first_key_of_leaf_page, leaf_pids_for_span, timed_range_scan
+from repro.bench.io_scan import leaf_pids_for_span, timed_range_scan
+from repro.span import first_key_of_leaf_page
 
 FACTORIES = {
     "disk": lambda: DiskBPlusTree(TreeEnvironment(page_size=1024, buffer_pages=256)),
