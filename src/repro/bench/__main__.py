@@ -9,8 +9,9 @@ not silent no-ops.
 ``python -m repro.bench scenario --matrix FILE`` runs a declarative
 scenario matrix (see :mod:`repro.scenario`): every spec is validated
 before any simulation starts, cells fan over ``--jobs`` workers with a
-deterministic merge, and ``--csv``/``--md``/``--json`` write the
-rendered artifacts.
+deterministic merge, ``--csv``/``--md``/``--json`` write the rendered
+artifacts, and then the matrix's ``[[claim]]`` predicates are evaluated:
+exit 1 lists every failed claim.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ def _scenario_main(argv: list[str]) -> int:
         "simulation; deterministic across --jobs values).",
     )
     parser.add_argument("--matrix", required=True, metavar="FILE",
-                        help="TOML matrix: optional [defaults] + [[scenario]] tables")
+                        help="TOML matrix: optional [defaults], [[scenario]] and "
+                        "[[claim]] tables")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="fan scenario cells over N worker processes")
     parser.add_argument("--csv", metavar="FILE", help="write all rows as one flat CSV")
@@ -49,7 +51,7 @@ def _scenario_main(argv: list[str]) -> int:
     parser.add_argument("--json", dest="json_path", metavar="FILE",
                         help="write the full payload (specs echoed next to rows)")
     parser.add_argument("--validate-only", action="store_true",
-                        help="validate every spec and exit without simulating")
+                        help="validate every spec and claim and exit without simulating")
     parser.add_argument("--gate", action="store_true",
                         help="determinism gate: re-run the matrix (and a --jobs 1 "
                         "pass when --jobs > 1) and require byte-identical payloads")
@@ -64,6 +66,7 @@ def _scenario_main(argv: list[str]) -> int:
 
     from ..scenario import (
         ScenarioError,
+        evaluate_claims,
         load_matrix,
         matrix_payload,
         matrix_to_csv,
@@ -73,14 +76,14 @@ def _scenario_main(argv: list[str]) -> int:
     )
 
     try:
-        specs = load_matrix(args.matrix)
-        validate_matrix(specs)
+        specs, claims = load_matrix(args.matrix)
+        validate_matrix(specs, claims)
     except ScenarioError as exc:
         for problem in exc.problems:
             print(f"invalid scenario matrix: {problem}", file=sys.stderr)
         return 2
     if args.validate_only:
-        print(f"{args.matrix}: {len(specs)} scenario(s) valid "
+        print(f"{args.matrix}: {len(specs)} scenario(s) and {len(claims)} claim(s) valid "
               f"({', '.join(spec.name for spec in specs)})")
         return 0
 
@@ -119,14 +122,20 @@ def _scenario_main(argv: list[str]) -> int:
             handle.write(payload_bytes + b"\n")
         print(f"wrote {args.json_path}")
     print(f"[scenario matrix of {len(specs)} finished in {elapsed:.1f}s]")
+    failures = evaluate_claims(claims, specs, results)
+    for failure in failures:
+        print(f"claim failed: {failure}", file=sys.stderr)
+    if claims and not failures:
+        print(f"all {len(claims)} claim(s) hold")
+    status = 1 if failures else 0
     if args.budget_s is not None and elapsed > args.budget_s:
         print(
             f"wall-clock budget exceeded: {elapsed:.1f}s > {args.budget_s:g}s "
             "(trim the matrix or raise --budget-s)",
             file=sys.stderr,
         )
-        return 3
-    return 0
+        status = status or 3
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1026,7 +1026,7 @@ def traced_scan(
 from .chaos import chaos_sweep  # noqa: E402  (avoids a cycle)
 from .concurrency import concurrency_sweep  # noqa: E402  (avoids a cycle)
 from .multipage import ablation_multipage_nodes  # noqa: E402  (avoids a cycle)
-from .serving import serve_batch_race, serve_sweep  # noqa: E402  (avoids a cycle)
+from .serving import serve_sweep  # noqa: E402  (avoids a cycle)
 from .sharding import shard_sweep  # noqa: E402  (avoids a cycle)
 
 ALL_EXPERIMENTS = {
@@ -1052,7 +1052,6 @@ ALL_EXPERIMENTS = {
     "ablation-multipage-nodes": ablation_multipage_nodes,
     "traced-scan": traced_scan,
     "serve": serve_sweep,
-    "serve-batch": serve_batch_race,
     "shard": shard_sweep,
     "chaos": chaos_sweep,
     "concurrency": concurrency_sweep,

@@ -121,9 +121,6 @@ PARALLEL_EXPERIMENTS: dict[str, Callable[[dict], list[dict]]] = {
     # Each offered-load cell builds its own MiniDbms + DbmsServer, so the
     # serving saturation curve fans out one cell per offered load.
     "serve": _product_planner("offered_loads"),
-    # Both admission modes of one offered load share a cell (the note
-    # reporting their throughput ratio needs the pair together).
-    "serve-batch": _product_planner("offered_loads"),
     # Each chaos mode builds its own MiniDbms + DbmsServer + fault plan.
     "chaos": _product_planner("modes"),
     # Each (shard count, placement, offered load) cell builds its own

@@ -10,24 +10,29 @@ combinations that cannot work *before* the discrete-event clock starts,
 and a compiler lowers the survivors onto the existing runners behind the
 orchestrator's deterministic process pool.
 
-    specs = load_matrix("benchmarks/scenarios/smoke.toml")
+    specs, claims = load_matrix("benchmarks/scenarios/serve_smoke.toml")
+    validate_matrix(specs, claims)             # before any simulated time
     results = run_matrix(specs, jobs=4)        # byte-identical for any jobs
     print(matrix_to_markdown(specs, results))
+    assert not evaluate_claims(claims, specs, results)
 
 CLI: ``python -m repro.bench scenario --matrix FILE --jobs N``.
 """
 
-from .compile import lower, plan_scenario_cells, run_scenario
+from .claims import PREDICATES, Claim, evaluate_claims
+from .compile import lower, plan_scenario_cells
 from .matrix import load_matrix, run_matrix, validate_matrix
 from .render import matrix_payload, matrix_to_csv, matrix_to_markdown
 from .spec import ScenarioError, ScenarioSpec
 
 __all__ = [
+    "PREDICATES",
+    "Claim",
     "ScenarioError",
     "ScenarioSpec",
     "lower",
     "plan_scenario_cells",
-    "run_scenario",
+    "evaluate_claims",
     "load_matrix",
     "run_matrix",
     "validate_matrix",

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from ..bench.chaos import chaos_sweep
 from ..bench.concurrency import concurrency_sweep
-from ..bench.orchestrator import map_cells
-from ..bench.results import FigureResult
 from ..bench.serving import serve_sweep
 from ..bench.sharding import shard_sweep
 from .spec import ScenarioSpec
 
-__all__ = ["lower", "plan_scenario_cells", "run_scenario", "run_scenario_cell"]
+__all__ = ["lower", "plan_scenario_cells", "run_scenario_cell"]
 
 _RUNNER_FUNCS = {
     "serve": serve_sweep,
@@ -93,7 +91,7 @@ def lower(spec: ScenarioSpec) -> tuple[str, dict]:
         kwargs = dict(
             num_rows=spec.num_rows,
             # The spec's num_disks is the *fleet* total; shard_sweep's is
-            # per shard.  The validator guarantees shard_count <= num_disks.
+            # per shard.  The validator guarantees shard_count divides it.
             num_disks=spec.num_disks // spec.shard_count,
             page_size=spec.page_size,
             shard_counts=(spec.shard_count,),
@@ -168,17 +166,3 @@ def run_scenario_cell(task: tuple[str, dict]) -> dict:
         "notes": result.notes,
     }
 
-
-def run_scenario(spec: ScenarioSpec, jobs: int = 1) -> FigureResult:
-    """Validate, lower, and run one scenario; cells fan over ``jobs``."""
-    spec.validate()
-    tasks = plan_scenario_cells(spec)
-    partials = map_cells(run_scenario_cell, tasks, jobs)
-    first = partials[0]
-    merged = FigureResult(spec.name, first["description"], first["columns"])
-    for partial in partials:
-        merged.rows.extend(partial["rows"])
-        for note in partial["notes"]:
-            if note not in merged.notes:
-                merged.notes.append(note)
-    return merged

@@ -155,8 +155,20 @@ class ScenarioSpec:
 
     def problems(self) -> list[str]:
         """Every validation failure, each as one actionable message."""
-        p: list[str] = []
         tag = f"scenario {self.name!r}"
+        # A wrong-typed field (say num_rows = "8000" in TOML) would crash
+        # the comparisons below, so type errors are reported on their own.
+        p: list[str] = []
+        for f in fields(self):
+            expected, check = _TYPES[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                p.append(
+                    f"{tag}: {f.name} must be {expected}, got {value!r} "
+                    f"({type(value).__name__})"
+                )
+        if p:
+            return p
 
         # Single-field sanity first: enum fields and positivity.  A spec
         # that fails these still gets its cross-field rules checked where
@@ -304,6 +316,15 @@ class ScenarioSpec:
                 f"{self.num_disks} — every shard needs at least one dedicated "
                 "spindle; lower shard_count or raise num_disks"
             )
+        elif self.runner == "shard" and self.shard_count >= 1 and self.num_disks % self.shard_count:
+            per_shard = self.num_disks // self.shard_count
+            p.append(
+                f"{tag}: num_disks = {self.num_disks} does not split evenly over "
+                f"shard_count = {self.shard_count} — each shard gets {per_shard} "
+                f"disk(s), so {self.num_disks - per_shard * self.shard_count} would "
+                f"sit idle; set num_disks to a multiple of {self.shard_count} "
+                f"(e.g. {per_shard * self.shard_count} or {(per_shard + 1) * self.shard_count})"
+            )
         if self.shard_count > 1 and self.runner != "shard":
             p.append(
                 f"{tag}: shard_count = {self.shard_count} needs runner = 'shard' "
@@ -385,6 +406,22 @@ class ScenarioSpec:
         if problems:
             raise ScenarioError(problems)
         return self
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: Field annotation -> (what the message asks for, check).  A bool is not
+#: an int here (TOML ``true`` is no row count); an int is a fine float.
+_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("a number", _is_number),
+    "Optional[float]": ("a number", lambda v: v is None or _is_number(v)),
+    "tuple": ("a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_number, v))),
+}
 
 
 def _toml_value(value: Any) -> str:
