@@ -679,15 +679,16 @@ def fault_resilience(
         plan = FaultPlan.limping_disk(limp_disk, factor=factor, seed=seed)
         retry_only = run(plan, False, "retry only", "b", factor)
         hedged = run(plan, True, "hedged", "b", factor)
-    thr = lambda s: s.pages_scanned / s.elapsed_s  # noqa: E731
-    lost = thr(clean) - thr(retry_only)
-    recovered = thr(hedged) - thr(retry_only)
-    result.notes.append(
-        f"limp x{limp_factors[-1]}: retry-only loses {lost:.1f} pages/s, "
-        f"hedging recovers {recovered:.1f} ({100 * recovered / lost:.0f}% of the loss)"
-        if lost > 0
-        else "limping disk cost nothing — scale the scan up"
-    )
+    if limp_factors:
+        thr = lambda s: s.pages_scanned / s.elapsed_s  # noqa: E731
+        lost = thr(clean) - thr(retry_only)
+        recovered = thr(hedged) - thr(retry_only)
+        result.notes.append(
+            f"limp x{limp_factors[-1]}: retry-only loses {lost:.1f} pages/s, "
+            f"hedging recovers {recovered:.1f} ({100 * recovered / lost:.0f}% of the loss)"
+            if lost > 0
+            else "limping disk cost nothing — scale the scan up"
+        )
     return result
 
 
@@ -723,6 +724,7 @@ def recovery_overhead(
             "records_replayed",
             "pages_restored",
             "recovery_us",
+            "updates",
         ],
     )
     base_keys = list(range(0, 2 * num_keys, 2))
@@ -754,6 +756,7 @@ def recovery_overhead(
             records_replayed=0,
             pages_restored=0,
             recovery_us=0,
+            updates=num_updates,
         )
         # Panel (b): same workload, crashed at ~crash_fraction of the log,
         # then redo recovery from the crash image.
@@ -782,14 +785,17 @@ def recovery_overhead(
             records_replayed=rec.records_replayed,
             pages_restored=rec.pages_restored,
             recovery_us=round(rec.recovery_us, 1),
+            updates=num_updates,
         )
-    never = result.filter(panel="b", checkpoint_interval=0)[0]
-    tightest = result.filter(panel="b", checkpoint_interval=min(i for i in checkpoint_intervals if i))[0]
-    result.notes.append(
-        f"redo work: {never['records_replayed']} records with no checkpoints vs "
-        f"{tightest['records_replayed']} at the tightest interval "
-        f"({never['recovery_us']:.0f}us vs {tightest['recovery_us']:.0f}us recovery)"
-    )
+    nonzero = [i for i in checkpoint_intervals if i]
+    if 0 in checkpoint_intervals and nonzero:
+        never = result.filter(panel="b", checkpoint_interval=0)[0]
+        tightest = result.filter(panel="b", checkpoint_interval=min(nonzero))[0]
+        result.notes.append(
+            f"redo work: {never['records_replayed']} records with no checkpoints vs "
+            f"{tightest['records_replayed']} at the tightest interval "
+            f"({never['recovery_us']:.0f}us vs {tightest['recovery_us']:.0f}us recovery)"
+        )
     return result
 
 

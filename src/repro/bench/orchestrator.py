@@ -42,25 +42,51 @@ __all__ = [
 ]
 
 
+def _defaults(name: str) -> dict:
+    """The experiment function's keyword parameters and their defaults."""
+    return {
+        pname: param.default
+        for pname, param in inspect.signature(ALL_EXPERIMENTS[name]).parameters.items()
+        if param.default is not inspect.Parameter.empty
+    }
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _fits(default, value, exact_int: bool = True) -> bool:
+    """Whether ``value`` has the type of ``default``.
+
+    A ``None`` default accepts anything and an int is a fine float; a
+    sequence's elements need only be numbers where the default's are.
+    """
+    if default is None:
+        return True
+    if isinstance(default, (tuple, list)):
+        return isinstance(value, (tuple, list)) and all(
+            not default or any(_fits(d, v, exact_int=False) for d in default)
+            for v in value
+        )
+    if _is_number(default):
+        int_only = exact_int and isinstance(default, int)
+        return _is_number(value) and not (int_only and isinstance(value, float))
+    return isinstance(value, type(default))
+
+
 def normalize_overrides(name: str, overrides: Optional[dict]) -> dict:
     """Check ``--set`` overrides against the experiment's signature.
 
     Two failure modes used to slip through silently and die deep inside a
     worker (or worse, not die at all): an override name the experiment
-    doesn't accept, and a scalar value for a *sequence* axis (``--set
-    sizes=2000`` parses to the int ``2000``, which the cell planner would
-    then try to iterate).  Unknown names raise here, before any cell
-    runs, listing the valid parameters; scalars aimed at sequence axes
-    are coerced to one-element tuples.
+    doesn't accept, and a value of the wrong type.  Both raise here,
+    before any cell runs, listing the valid parameters.  Scalars aimed at
+    sequence axes (``--set sizes=2000``) are coerced to one-element
+    tuples, and lists to tuples.
     """
     if not overrides:
         return {}
-    fn = ALL_EXPERIMENTS[name]
-    params = {
-        pname: param.default
-        for pname, param in inspect.signature(fn).parameters.items()
-        if param.default is not inspect.Parameter.empty
-    }
+    params = _defaults(name)
     unknown = sorted(set(overrides) - set(params))
     if unknown:
         raise ValueError(
@@ -69,22 +95,21 @@ def normalize_overrides(name: str, overrides: Optional[dict]) -> dict:
         )
     normalized = {}
     for key, value in overrides.items():
-        if isinstance(params[key], (tuple, list)) and not isinstance(
-            value, (tuple, list)
-        ):
-            value = (value,)
+        default = params[key]
+        if isinstance(default, (tuple, list)):
+            value = tuple(value) if isinstance(value, (tuple, list)) else (value,)
+        if not _fits(default, value):
+            raise ValueError(
+                f"experiment {name!r} parameter {key} = {value!r} does not match "
+                f"the type of its default {default!r}"
+            )
         normalized[key] = value
     return normalized
 
 
 def _effective_params(name: str, overrides: Optional[dict]) -> dict:
     """The experiment function's defaults overlaid with user overrides."""
-    fn = ALL_EXPERIMENTS[name]
-    params = {
-        pname: param.default
-        for pname, param in inspect.signature(fn).parameters.items()
-        if param.default is not inspect.Parameter.empty
-    }
+    params = _defaults(name)
     params.update(normalize_overrides(name, overrides))
     return params
 
@@ -140,11 +165,11 @@ def plan_cells(name: str, overrides: Optional[dict] = None) -> list[dict]:
     return planner(params)
 
 
-def _run_cell(task: tuple[str, dict]) -> dict:
+def _run_cell(task: tuple[str, dict], keep_trace: bool = False) -> dict:
     """Worker entry point: run one cell, return a picklable result dict.
 
-    The attached trace (``traced-scan`` only) is not picklable and is
-    dropped here; single-cell experiments run inline and keep it.
+    The attached trace (``traced-scan`` only) is not picklable, so worker
+    processes drop it; inline runs pass ``keep_trace`` to keep it.
     """
     name, kwargs = task
     result = ALL_EXPERIMENTS[name](**kwargs)
@@ -153,7 +178,7 @@ def _run_cell(task: tuple[str, dict]) -> dict:
         "columns": list(result.columns),
         "rows": result.rows,
         "notes": result.notes,
-        "trace": None,
+        "trace": result.trace if keep_trace else None,
     }
 
 
@@ -206,18 +231,7 @@ def run_experiment(
     cells = plan_cells(name, overrides)
     tasks = [(name, cell) for cell in cells]
     if jobs == 1 or len(tasks) == 1:
-        partials = []
-        for task in tasks:
-            result = ALL_EXPERIMENTS[name](**task[1])
-            partials.append(
-                {
-                    "description": result.description,
-                    "columns": list(result.columns),
-                    "rows": result.rows,
-                    "notes": result.notes,
-                    "trace": result.trace,
-                }
-            )
+        partials = [_run_cell(task, keep_trace=True) for task in tasks]
     else:
         partials = map_cells(_run_cell, tasks, jobs)
     return _merge(name, partials)

@@ -179,13 +179,6 @@ class MemorySystem:
         if completion < self._wake:
             self._wake = completion
 
-    def _pop_inflight(self, line: int) -> float | None:
-        """Remove a line from the in-flight set (its heap entry goes stale)."""
-        completion = self._inflight.pop(line, None)
-        if completion is not None:
-            del self._inflight_seq[line]
-        return completion
-
     def _reserve_miss_handler(self) -> None:
         """Stall until an MSHR is free, retiring landed prefetches.
 

@@ -247,6 +247,101 @@ def fleet_scales(single, equal, optimized) -> list[str]:
     return failures
 
 
+HEDGED_MIN = 0.9  # hedged / retry-only scan throughput at every error rate
+LIMP_LOSS_RATIO_MIN = 2.0  # worst limp: retry-only loss >= this x hedged loss
+
+
+@_predicate("fault-resilience", "faults")
+def hedging_pays(faults) -> list[str]:
+    """Hedged reads catch every fault and recover a limping disk's loss."""
+    row = {(r["panel"], r["x"], r["mode"]): r for r in faults}
+    rates = sorted({r["x"] for r in faults if r["panel"] == "a"})
+    limps = sorted({r["x"] for r in faults if r["panel"] == "b" and r["mode"] != "clean"})
+    if not rates or not limps or ("b", 1.0, "clean") not in row:
+        return [
+            f"needs error-rate rows, limp rows and a clean row, got error rates "
+            f"{rates} and limp factors {limps}"
+        ]
+    failures = []
+    counts = sorted({r["row_count"] for r in faults})
+    if len(counts) != 1:
+        failures.append(f"row counts diverged under faults: {counts}")
+    top = row[("a", rates[-1], "retry only")]
+    if top["checksum_failures"] <= 0:
+        failures.append(f"at error rate {rates[-1]} no corruption was caught")
+    for rate in rates:
+        hedged, retry = row[("a", rate, "hedged")], row[("a", rate, "retry only")]
+        if hedged["pages_per_s"] < HEDGED_MIN * retry["pages_per_s"]:
+            failures.append(
+                f"at error rate {rate} hedged reads scan {hedged['pages_per_s']} pages/s, "
+                f"under {HEDGED_MIN:g}x retry-only's {retry['pages_per_s']}"
+            )
+    clean = row[("b", 1.0, "clean")]["pages_per_s"]
+    loss_retry = clean - row[("b", limps[-1], "retry only")]["pages_per_s"]
+    loss_hedge = clean - row[("b", limps[-1], "hedged")]["pages_per_s"]
+    if loss_retry <= 0:
+        failures.append(f"limping x{limps[-1]} cost retry-only nothing; scale the scan up")
+    elif loss_retry < LIMP_LOSS_RATIO_MIN * loss_hedge:
+        failures.append(
+            f"limping x{limps[-1]}: retry-only loses {loss_retry:.1f} pages/s, under "
+            f"{LIMP_LOSS_RATIO_MIN:g}x hedged's loss of {loss_hedge:.1f}"
+        )
+    return failures
+
+
+APPENDS_PER_UPDATE_MIN = 3  # BEGIN + one page image + COMMIT
+
+
+@_predicate("recovery", "recovery")
+def checkpoints_pay(recovery) -> list[str]:
+    """Checkpoints trade runtime page forces for less redo work."""
+    row = {(r["panel"], r["checkpoint_interval"]): r for r in recovery}
+    intervals = sorted({r["checkpoint_interval"] for r in recovery})
+    if 0 not in intervals or len(intervals) < 2:
+        return [f"needs interval 0 and a nonzero interval, got intervals {intervals}"]
+    tightest = intervals[1]
+    failures = []
+    for interval in intervals:
+        runtime = row[("a", interval)]
+        if runtime["wal_appends"] < APPENDS_PER_UPDATE_MIN * runtime["updates"]:
+            failures.append(
+                f"interval {interval}: {runtime['wal_appends']} WAL appends for "
+                f"{runtime['updates']} updates, under {APPENDS_PER_UPDATE_MIN} per update"
+            )
+        if runtime["write_us_per_op"] <= 0:
+            failures.append(f"interval {interval}: logging charged no write time")
+        if row[("b", interval)]["recovery_us"] <= 0:
+            failures.append(f"interval {interval}: recovery took no time")
+    never, tight = row[("a", 0)], row[("a", tightest)]
+    if tight["pages_flushed"] <= never["pages_flushed"]:
+        failures.append(
+            f"interval {tightest} flushed {tight['pages_flushed']} pages, never "
+            f"checkpointing {never['pages_flushed']}"
+        )
+    if tight["checkpoints"] <= 0 or never["checkpoints"] != 0:
+        failures.append(
+            f"checkpoints taken: {tight['checkpoints']} at interval {tightest}, "
+            f"{never['checkpoints']} at interval 0"
+        )
+    if tight["write_us_per_op"] < never["write_us_per_op"]:
+        failures.append(
+            f"interval {tightest} paid {tight['write_us_per_op']} us of writes per update, "
+            f"under never checkpointing's {never['write_us_per_op']}"
+        )
+    never, tight = row[("b", 0)], row[("b", tightest)]
+    if tight["records_replayed"] >= never["records_replayed"]:
+        failures.append(
+            f"replay did not shrink: {tight['records_replayed']} records at interval "
+            f"{tightest}, {never['records_replayed']} at interval 0"
+        )
+    if tight["recovery_us"] > never["recovery_us"]:
+        failures.append(
+            f"recovery at interval {tightest} took {tight['recovery_us']} us, slower "
+            f"than {never['recovery_us']} us at interval 0"
+        )
+    return failures
+
+
 @dataclass(frozen=True)
 class Claim:
     """One ``[[claim]]`` table: a predicate and the scenarios it reads."""

@@ -1,35 +1,20 @@
-"""Lowering: a validated :class:`ScenarioSpec` onto the ``repro.bench`` runners.
+"""Lowering: a validated :class:`ScenarioSpec` onto a ``repro.bench`` experiment.
 
-Each spec compiles to one of the four existing sweep functions —
-``serve_sweep``, ``chaos_sweep``, ``shard_sweep``, ``concurrency_sweep`` —
-with the spec's axes translated to the runner's keyword arguments (ms to
-us, mix weights to ``*_weight`` names, ``zipf_theta`` folded into the
-``"zipf:THETA"`` distribution string, fleet disks divided per shard).
-
-A spec also compiles to *cells*: independently runnable slices of the
-lowered sweep (one per offered load for open-loop runners, one per chaos
-mode for the chaos runner) so a matrix of scenarios fans out over the
-orchestrator's process pool exactly like the figure sweeps do, with the
-same determinism contract — merge in cell order, ``--jobs N``
-byte-identical to ``--jobs 1``.
+A spec lowers to ``(experiment id, keyword arguments)``, which the
+orchestrator plans into cells, runs and merges exactly as it does for
+``python -m repro.bench <id> --set ...``.  The four serving runners
+(``serve``, ``chaos``, ``shard``, ``concurrency``) translate the spec's
+typed axes to the sweep's keyword arguments (ms to us, mix weights to
+``*_weight`` names, ``zipf_theta`` folded into the ``"zipf:THETA"``
+distribution string, fleet disks divided per shard).  Every other
+runner passes the spec's ``params`` table through unchanged.
 """
 
 from __future__ import annotations
 
-from ..bench.chaos import chaos_sweep
-from ..bench.concurrency import concurrency_sweep
-from ..bench.serving import serve_sweep
-from ..bench.sharding import shard_sweep
-from .spec import ScenarioSpec
+from .spec import SERVING_RUNNERS, ScenarioSpec
 
-__all__ = ["lower", "plan_scenario_cells", "run_scenario_cell"]
-
-_RUNNER_FUNCS = {
-    "serve": serve_sweep,
-    "chaos": chaos_sweep,
-    "shard": shard_sweep,
-    "concurrency": concurrency_sweep,
-}
+__all__ = ["lower"]
 
 
 def _distribution_arg(spec: ScenarioSpec):
@@ -42,7 +27,9 @@ def _distribution_arg(spec: ScenarioSpec):
 
 
 def lower(spec: ScenarioSpec) -> tuple[str, dict]:
-    """(runner function name, keyword arguments) for a validated spec."""
+    """(experiment id, keyword arguments) for a validated spec."""
+    if spec.runner not in SERVING_RUNNERS:
+        return spec.runner, dict(spec.params)
     if spec.runner == "serve":
         kwargs = dict(
             num_rows=spec.num_rows,
@@ -112,7 +99,7 @@ def lower(spec: ScenarioSpec) -> tuple[str, dict]:
             batch_window_us=spec.batch_window_ms * 1e3,
             seed=spec.seed,
         )
-    elif spec.runner == "concurrency":
+    else:  # concurrency
         kwargs = dict(
             modes=(spec.concurrency,),
             seeds=(spec.seed,),
@@ -130,39 +117,5 @@ def lower(spec: ScenarioSpec) -> tuple[str, dict]:
             queue_depth=spec.queue_depth,
             pool_frames=spec.pool_frames,
         )
-    else:  # pragma: no cover - validate() rejects unknown runners first
-        raise ValueError(f"unknown runner {spec.runner!r}")
     return spec.runner, kwargs
-
-
-def plan_scenario_cells(spec: ScenarioSpec) -> list[tuple[str, dict]]:
-    """Split one lowered spec into independently runnable cells.
-
-    Open-loop runners split per offered load; the chaos runner splits per
-    mode (baseline vs resilient substrates share nothing); the
-    concurrency runner is a single cell.  Cell order matches the lowered
-    sweep's own loop order, so merging cells in order reproduces the
-    unsplit row order byte-for-byte.
-    """
-    runner, kwargs = lower(spec)
-    if runner in ("serve", "shard"):
-        return [
-            (runner, {**kwargs, "offered_loads": (rate,)})
-            for rate in kwargs["offered_loads"]
-        ]
-    if runner == "chaos":
-        return [(runner, {**kwargs, "modes": (mode,)}) for mode in kwargs["modes"]]
-    return [(runner, kwargs)]
-
-
-def run_scenario_cell(task: tuple[str, dict]) -> dict:
-    """Worker entry point: one cell in, one picklable partial result out."""
-    runner, kwargs = task
-    result = _RUNNER_FUNCS[runner](**kwargs)
-    return {
-        "description": result.description,
-        "columns": list(result.columns),
-        "rows": result.rows,
-        "notes": result.notes,
-    }
 

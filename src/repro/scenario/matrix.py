@@ -21,10 +21,12 @@ a predicate over the results (see :mod:`repro.scenario.claims`)::
 unknown keys; :func:`validate_matrix` **validates every spec and claim
 before any simulation starts** — one bad cell fails the whole matrix in
 milliseconds, not after the good cells burned their wall-clock.
-:func:`run_matrix` then flattens every scenario's cells into one task list and fans it over the
-orchestrator's :func:`~repro.bench.orchestrator.map_cells` pool, so
-cells from *different* scenarios run concurrently and the merge (by
-scenario, then cell index) is byte-identical for every ``--jobs`` value.
+:func:`run_matrix` then plans each scenario's cells with the
+orchestrator's own planner, flattens them into one task list for its
+:func:`~repro.bench.orchestrator.map_cells` pool, so cells from
+*different* scenarios run concurrently, and merges them (by scenario,
+then cell index) with the orchestrator's merge: byte-identical for every
+``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ import tomllib
 from pathlib import Path
 from typing import NamedTuple, Sequence, Union
 
-from ..bench.orchestrator import map_cells
+from ..bench.orchestrator import _merge, _run_cell, map_cells, plan_cells
 from ..bench.results import FigureResult
 from .claims import Claim
-from .compile import plan_scenario_cells, run_scenario_cell
+from .compile import lower
 from .spec import ScenarioError, ScenarioSpec
 
 __all__ = ["Matrix", "load_matrix", "run_matrix", "validate_matrix"]
@@ -110,20 +112,15 @@ def run_matrix(specs: Sequence[ScenarioSpec], jobs: int = 1) -> list[FigureResul
     """
     validate_matrix(specs)
     tasks = []
-    spans = []  # (spec, first task index, task count)
+    counts = []
     for spec in specs:
-        cells = plan_scenario_cells(spec)
-        spans.append((spec, len(tasks), len(cells)))
-        tasks.extend(cells)
-    partials = map_cells(run_scenario_cell, tasks, jobs)
+        runner, kwargs = lower(spec)
+        cells = plan_cells(runner, kwargs)
+        counts.append(len(cells))
+        tasks.extend((runner, cell) for cell in cells)
+    partials = map_cells(_run_cell, tasks, jobs)
     results = []
-    for spec, start, count in spans:
-        mine = partials[start : start + count]
-        merged = FigureResult(spec.name, mine[0]["description"], mine[0]["columns"])
-        for partial in mine:
-            merged.rows.extend(partial["rows"])
-            for note in partial["notes"]:
-                if note not in merged.notes:
-                    merged.notes.append(note)
-        results.append(merged)
+    for spec, count in zip(specs, counts):
+        results.append(_merge(spec.name, partials[:count]))
+        partials = partials[count:]
     return results

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from ..bench.results import FigureResult
-from .spec import ScenarioSpec
+from .spec import SERVING_RUNNERS, ScenarioSpec
 
 __all__ = ["matrix_payload", "matrix_to_csv", "matrix_to_markdown"]
 
@@ -76,24 +76,10 @@ def matrix_to_markdown(
         lines.append("")
         lines.append(result.description)
         lines.append("")
-        axes = [
-            f"{spec.num_rows:,} rows",
-            f"{spec.num_disks} disks",
-            f"mix {spec.lookup:g}/{spec.scan:g}/{spec.insert:g}",
-        ]
-        if spec.distribution != "uniform":
-            axes.append(f"zipf theta {spec.zipf_theta:g}")
-        if spec.burstiness != 1.0:
-            axes.append(f"burstiness {spec.burstiness:g}")
-        if spec.shard_count > 1:
-            axes.append(f"{spec.shard_count} shards ({spec.placement})")
-        if spec.admission != "fifo":
-            axes.append(f"{spec.admission} admission")
-        if spec.concurrency != "none":
-            axes.append(f"{spec.concurrency} concurrency control")
-        if spec.chaos:
-            axes.append(f"chaos `{spec.chaos}`")
-        axes.append(f"seed {spec.seed}")
+        if spec.runner in SERVING_RUNNERS:
+            axes = _serving_axes(spec)
+        else:
+            axes = [f"{k} = {v}" for k, v in spec.params.items()] or ["default parameters"]
         lines.append("Axes: " + ", ".join(axes) + ".")
         lines.append("")
         cols = list(result.columns)
@@ -109,6 +95,29 @@ def matrix_to_markdown(
         if result.notes:
             lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"
+
+
+def _serving_axes(spec: ScenarioSpec) -> list[str]:
+    """A serving spec's axes as the report's ``Axes:`` items."""
+    axes = [
+        f"{spec.num_rows:,} rows",
+        f"{spec.num_disks} disks",
+        f"mix {spec.lookup:g}/{spec.scan:g}/{spec.insert:g}",
+    ]
+    if spec.distribution != "uniform":
+        axes.append(f"zipf theta {spec.zipf_theta:g}")
+    if spec.burstiness != 1.0:
+        axes.append(f"burstiness {spec.burstiness:g}")
+    if spec.shard_count > 1:
+        axes.append(f"{spec.shard_count} shards ({spec.placement})")
+    if spec.admission != "fifo":
+        axes.append(f"{spec.admission} admission")
+    if spec.concurrency != "none":
+        axes.append(f"{spec.concurrency} concurrency control")
+    if spec.chaos:
+        axes.append(f"chaos `{spec.chaos}`")
+    axes.append(f"seed {spec.seed}")
+    return axes
 
 
 def _md_cell(value: Any) -> str:

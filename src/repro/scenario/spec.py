@@ -1,11 +1,14 @@
 """Declarative scenario specs with a cross-field validator.
 
-A :class:`ScenarioSpec` names one point in the evaluation grid — workload
-mix, key skew, burstiness, chaos schedule (including crash points), scale
-factor, shard count, admission mode, concurrency mode, seed — and the
-*runner* that executes it (one of the existing ``repro.bench`` sweeps:
-``serve``, ``chaos``, ``shard``, ``concurrency``).  Specs load from TOML
-or plain dicts and round-trip back (:meth:`to_toml`).
+A :class:`ScenarioSpec` names the *runner* that executes it — any
+experiment id in ``repro.bench.ALL_EXPERIMENTS`` — and its inputs.  The
+four serving runners (``serve``, ``chaos``, ``shard``, ``concurrency``)
+read typed fields: workload mix, key skew, burstiness, chaos schedule
+(including crash points), scale factor, shard count, admission mode,
+concurrency mode, seed.  Every other runner reads only ``params``, the
+experiment's keyword arguments, checked against its signature exactly as
+``--set`` overrides are.  Specs load from TOML or plain dicts and
+round-trip back (:meth:`to_toml`).
 
 The point of the spec layer is :meth:`validate`: every cross-field
 consistency rule is checked *before* any simulation starts, in the spirit
@@ -20,12 +23,16 @@ and which field to change.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional, Sequence
+
+from ..bench.figures import ALL_EXPERIMENTS
+from ..bench.orchestrator import normalize_overrides
 
 __all__ = ["ScenarioSpec", "ScenarioError", "PAPER_SCALE_ROWS", "MIN_PAPER_DEADLINE_MS"]
 
-RUNNERS = ("serve", "chaos", "shard", "concurrency")
+#: Runners that read the typed fields; every other experiment reads ``params``.
+SERVING_RUNNERS = ("serve", "chaos", "shard", "concurrency")
 ADMISSION_MODES = ("fifo", "batch")
 CONCURRENCY_MODES = ("none", "page", "coarse", "broken")
 DISTRIBUTIONS = ("uniform", "zipf")
@@ -55,7 +62,8 @@ class ScenarioSpec:
 
     # -- identity ----------------------------------------------------------
     name: str
-    runner: str  # "serve" | "chaos" | "shard" | "concurrency"
+    runner: str  # an experiment id, e.g. "serve" or "fault-resilience"
+    params: dict = field(default_factory=dict)  # keyword arguments, non-serving runners
 
     # -- workload mix and shape -------------------------------------------
     lookup: float = 0.70
@@ -169,14 +177,17 @@ class ScenarioSpec:
                 )
         if p:
             return p
+        if self.runner not in SERVING_RUNNERS:
+            return self._params_problems(tag)
+        if self.params:
+            p.append(
+                f"{tag}: params is for experiment runners; the {self.runner!r} "
+                "runner reads the typed fields, so move each entry to its field"
+            )
 
         # Single-field sanity first: enum fields and positivity.  A spec
         # that fails these still gets its cross-field rules checked where
         # they make sense, so one validate() call reports everything.
-        if self.runner not in RUNNERS:
-            p.append(
-                f"{tag}: unknown runner {self.runner!r}; pick one of {', '.join(RUNNERS)}"
-            )
         if self.admission not in ADMISSION_MODES:
             p.append(
                 f"{tag}: unknown admission mode {self.admission!r}; "
@@ -400,6 +411,26 @@ class ScenarioSpec:
             )
         return p
 
+    def _params_problems(self, tag: str) -> list[str]:
+        """A non-serving runner: known, serving fields untouched, params fit."""
+        if self.runner not in ALL_EXPERIMENTS:
+            return [
+                f"{tag}: unknown runner {self.runner!r}; pick one of "
+                f"{', '.join(ALL_EXPERIMENTS)}"
+            ]
+        p = [
+            f"{tag}: {f.name} is a serving field, but the {self.runner!r} runner "
+            "reads only params; set the experiment's keyword arguments there"
+            for f in fields(self)
+            if f.name not in ("name", "runner", "params")
+            and getattr(self, f.name) != f.default
+        ]
+        try:
+            normalize_overrides(self.runner, self.params)
+        except ValueError as exc:
+            p.append(f"{tag}: params: {exc}")
+        return p
+
     def validate(self) -> "ScenarioSpec":
         """Raise :class:`ScenarioError` listing every violated rule."""
         problems = self.problems()
@@ -421,6 +452,7 @@ _TYPES = {
     "float": ("a number", _is_number),
     "Optional[float]": ("a number", lambda v: v is None or _is_number(v)),
     "tuple": ("a list of numbers", lambda v: isinstance(v, tuple) and all(map(_is_number, v))),
+    "dict": ("a table", lambda v: isinstance(v, dict)),
 }
 
 
@@ -439,6 +471,10 @@ def _toml_value(value: Any) -> str:
         return _toml_string(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_toml_value(v) for v in value) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{_toml_string(str(k))} = {_toml_value(v)}" for k, v in value.items()
+        ) + "}"
     raise TypeError(f"cannot render {type(value).__name__} as TOML: {value!r}")
 
 

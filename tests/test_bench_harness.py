@@ -107,6 +107,8 @@ class TestCli:
         assert _parse_value("5") == 5
         assert _parse_value("0.5") == 0.5
         assert _parse_value("1,2,3") == (1, 2, 3)
+        assert _parse_value("0.0,0.05") == (0.0, 0.05)
+        assert _parse_value("fifo,batch") == ("fifo", "batch")
         assert _parse_value("hello") == "hello"
 
     def test_list_command(self, capsys):

@@ -24,6 +24,8 @@ import pytest
 import tomllib
 
 from repro.bench.__main__ import main as bench_main
+from repro.bench.figures import fault_resilience, recovery_overhead
+from repro.bench.orchestrator import plan_cells
 from repro.scenario import claims as claims_module
 from repro.scenario import (
     PREDICATES,
@@ -35,7 +37,6 @@ from repro.scenario import (
     matrix_payload,
     matrix_to_csv,
     matrix_to_markdown,
-    plan_scenario_cells,
     run_matrix,
     validate_matrix,
 )
@@ -135,6 +136,19 @@ REJECTIONS = [
     # fleet disks that do not split evenly would silently idle spindles.
     (dict(runner="shard", shard_count=4, num_disks=10),
      "num_disks = 10 does not split evenly over shard_count = 4"),
+    # params runners: names and types checked as --set overrides are.
+    (dict(runner="fault-resilience", params={"warp": 1}), "has no parameter(s) warp"),
+    (dict(runner="recovery", params={"num_keys": "3000"}),
+     "num_keys = '3000' does not match the type of its default 20000"),
+    (dict(runner="recovery", params={"num_updates": 400.5}),
+     "num_updates = 400.5 does not match the type of its default 2000"),
+    (dict(runner="fault-resilience", params={"error_rates": ["low"]}),
+     "error_rates = ('low',) does not match"),
+    # a serving field on a params runner would be silently ignored.
+    (dict(runner="recovery"), "num_rows is a serving field"),
+    # a params table on a serving runner would be silently ignored.
+    (dict(params={"num_rows": 2_000}), "params is for experiment runners"),
+    (dict(params=[1]), "params must be a table"),
 ]
 
 
@@ -190,6 +204,17 @@ def test_toml_round_trip_by_hand():
     text = spec.to_toml()
     back = ScenarioSpec.from_dict(tomllib.loads(text)["scenario"][0])
     assert back == spec
+
+
+def test_toml_round_trip_of_params():
+    spec = ScenarioSpec(name="f", runner="fault-resilience", params={
+        "num_rows": 20_000, "error_rates": [0.0, 0.05], "limp_factors": [10.0],
+    })
+    text = spec.to_toml()
+    assert "params = {" in text
+    back = ScenarioSpec.from_dict(tomllib.loads(text)["scenario"][0])
+    assert back == spec
+    assert back.problems() == []
 
 
 try:
@@ -323,13 +348,17 @@ def test_lowering_translates_units_and_axes():
 
 
 def test_cell_planning_splits_open_loop_loads_and_chaos_modes():
-    serve_cells = plan_scenario_cells(make(offered_loads=(200, 800, 1600)))
+    serve_cells = plan_cells(*lower(make(offered_loads=(200, 800, 1600))))
     assert len(serve_cells) == 3
-    assert [c[1]["offered_loads"] for c in serve_cells] == [(200,), (800,), (1600,)]
-    chaos_cells = plan_scenario_cells(
-        make(runner="chaos", wal=True, deadline_ms=30.0)
-    )
-    assert [c[1]["modes"] for c in chaos_cells] == [("baseline",), ("resilient",)]
+    assert [c["offered_loads"] for c in serve_cells] == [(200,), (800,), (1600,)]
+    chaos_cells = plan_cells(*lower(make(runner="chaos", wal=True, deadline_ms=30.0)))
+    assert [c["modes"] for c in chaos_cells] == [("baseline",), ("resilient",)]
+    fig10_cells = plan_cells(*lower(ScenarioSpec(
+        name="f", runner="fig10", params={"page_sizes": [4096, 8192], "sizes": [2000]},
+    )))
+    assert [(c["page_sizes"], c["sizes"]) for c in fig10_cells] == [
+        ((4096,), (2000,)), ((8192,), (2000,)),
+    ]
 
 
 def test_run_scenario_rejects_invalid_before_running():
@@ -375,12 +404,16 @@ def test_renderers_cover_every_scenario_and_row():
 # 4. Claims: the retired smoke scripts' checks as named predicates.
 # ---------------------------------------------------------------------------
 
+#: A claim letter checked by the CI cell's ``--gate`` re-runs, not a predicate.
+GATE = "--gate"
+
 #: Every claim letter the old ``benchmarks/bench_{serve,chaos,concurrency,
-#: shard}.py`` scripts asserted -> (matrix, predicate, bounds) now checking
-#: it; the bounds are ``repro.scenario.claims`` constants holding the old
-#: scripts' values.  Letter (d) of each script (fixed-seed determinism)
-#: is the scenario CLI's ``--gate``, not a predicate, except serve (d)'s
-#: per-row drain identity, which ``hockey_stick`` checks.
+#: shard,faults,recovery}.py`` scripts asserted -> (matrix, predicate,
+#: bounds) now checking it; the bounds are ``repro.scenario.claims``
+#: constants holding the old scripts' values.  Fixed-seed determinism
+#: (letter (d) of the serving scripts, (c) of faults and recovery) is the
+#: scenario CLI's ``--gate``, except serve (d)'s per-row drain identity,
+#: which ``hockey_stick`` checks.
 OLD_CLAIMS = {
     ("serve", "a"): ("serve_smoke.toml", "hockey_stick", {"KEEP_UP_MIN": 0.9}),
     ("serve", "b"): ("serve_smoke.toml", "hockey_stick", {
@@ -400,6 +433,13 @@ OLD_CLAIMS = {
     ("shard", "a"): ("shard_smoke.toml", "fleet_scales", {"SCALING_MIN": 2.5}),
     ("shard", "b"): ("shard_smoke.toml", "fleet_scales", {"CROSS_SHARD_MAX": 0.75}),
     ("shard", "c"): ("shard_smoke.toml", "fleet_scales", {}),
+    ("faults", "a"): ("figures_smoke.toml", "hedging_pays", {"HEDGED_MIN": 0.9}),
+    ("faults", "b"): ("figures_smoke.toml", "hedging_pays", {"LIMP_LOSS_RATIO_MIN": 2.0}),
+    ("faults", "c"): ("figures_smoke.toml", GATE, {}),
+    ("recovery", "a"): ("figures_smoke.toml", "checkpoints_pay",
+                        {"APPENDS_PER_UPDATE_MIN": 3}),
+    ("recovery", "b"): ("figures_smoke.toml", "checkpoints_pay", {}),
+    ("recovery", "c"): ("figures_smoke.toml", GATE, {}),
 }
 
 
@@ -411,6 +451,11 @@ def _committed_claims(matrix, predicate):
 @pytest.mark.parametrize("script, letter", sorted(OLD_CLAIMS))
 def test_every_old_claim_is_a_committed_predicate(script, letter):
     matrix, predicate, bounds = OLD_CLAIMS[(script, letter)]
+    if predicate == GATE:
+        ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        assert f"scenario: benchmarks/scenarios/{matrix}" in ci
+        assert "--jobs 2 --gate" in ci
+        return
     assert predicate in PREDICATES
     specs, claims = _committed_claims(matrix, predicate)
     assert claims, f"{matrix} has no {predicate} claim"
@@ -466,6 +511,36 @@ PASSING_ROWS = {
               completed=834, shed=0, failed=0, probe_in_flight=20,
               lookup_tput_ops_s=1413.3, scan_fragments=181, cross_shard_scans=4)],
     ],
+    "hedging_pays": [[
+        dict(panel="a", x=0.0, mode="retry only", pages_per_s=494.1, checksum_failures=0,
+             row_count=20000),
+        dict(panel="a", x=0.0, mode="hedged", pages_per_s=471.9, checksum_failures=0,
+             row_count=20000),
+        dict(panel="a", x=0.05, mode="retry only", pages_per_s=286.5, checksum_failures=2,
+             row_count=20000),
+        dict(panel="a", x=0.05, mode="hedged", pages_per_s=412.4, checksum_failures=1,
+             row_count=20000),
+        dict(panel="b", x=1.0, mode="clean", pages_per_s=494.1, checksum_failures=0,
+             row_count=20000),
+        dict(panel="b", x=10.0, mode="retry only", pages_per_s=218.4, checksum_failures=0,
+             row_count=20000),
+        dict(panel="b", x=10.0, mode="hedged", pages_per_s=386.4, checksum_failures=0,
+             row_count=20000),
+    ]],
+    "checkpoints_pay": [[
+        dict(panel="a", checkpoint_interval=0, wal_appends=1206, pages_flushed=0,
+             checkpoints=0, write_us_per_op=808.43, records_replayed=0, recovery_us=0,
+             updates=400),
+        dict(panel="b", checkpoint_interval=0, wal_appends=1086, pages_flushed=0,
+             checkpoints=0, write_us_per_op=0, records_replayed=364, recovery_us=45644.4,
+             updates=400),
+        dict(panel="a", checkpoint_interval=25, wal_appends=1222, pages_flushed=19,
+             checkpoints=16, write_us_per_op=848.35, records_replayed=0, recovery_us=0,
+             updates=400),
+        dict(panel="b", checkpoint_interval=25, wal_appends=1100, pages_flushed=0,
+             checkpoints=0, write_us_per_op=0, records_replayed=10, recovery_us=42048.6,
+             updates=400),
+    ]],
 }
 
 #: (predicate, old claim letter, {role index: {row index: changes}},
@@ -507,6 +582,23 @@ NEGATIVE_CONTROLS = [
     ("fleet_scales", "c", {2: {0: dict(completed=800)}}, "router plane not conserved"),
     ("fleet_scales", "c",
      {role: {0: dict(probe_in_flight=0)} for role in range(3)}, "never saw a request in flight"),
+    ("hedging_pays", "a", {0: {3: dict(row_count=19999)}}, "row counts diverged"),
+    ("hedging_pays", "a", {0: {2: dict(checksum_failures=0)}}, "no corruption was caught"),
+    # Hedged throughput at 0.85x retry-only's: under the 0.9x bound.
+    ("hedging_pays", "a", {0: {3: dict(pages_per_s=243.5)}}, "under 0.9x retry-only's 286.5"),
+    # Limp loss ratio 275.7 / 145.1 = 1.9: under the 2x bound.
+    ("hedging_pays", "b", {0: {6: dict(pages_per_s=349.0)}}, "under 2x hedged's loss of 145.1"),
+    ("hedging_pays", "b", {0: {5: dict(pages_per_s=494.1)}}, "cost retry-only nothing"),
+    # 1199 appends for 400 updates: under 3 per update.
+    ("checkpoints_pay", "a", {0: {0: dict(wal_appends=1199)}}, "under 3 per update"),
+    ("checkpoints_pay", "a", {0: {2: dict(write_us_per_op=0)}}, "charged no write time"),
+    ("checkpoints_pay", "a", {0: {2: dict(pages_flushed=0)}}, "flushed 0 pages"),
+    ("checkpoints_pay", "a", {0: {2: dict(checkpoints=0)}}, "checkpoints taken: 0"),
+    ("checkpoints_pay", "a", {0: {2: dict(write_us_per_op=800.0)}},
+     "under never checkpointing's 808.43"),
+    ("checkpoints_pay", "b", {0: {3: dict(records_replayed=364)}}, "replay did not shrink"),
+    ("checkpoints_pay", "b", {0: {3: dict(recovery_us=46000.0)}}, "slower than 45644.4"),
+    ("checkpoints_pay", "b", {0: {1: dict(recovery_us=0)}}, "recovery took no time"),
 ]
 
 
@@ -534,9 +626,38 @@ def test_every_old_claim_letter_has_a_negative_control():
     controlled = {(p, letter) for p, letter, __, __ in NEGATIVE_CONTROLS}
     missing = [
         key for key, (__, predicate, __) in OLD_CLAIMS.items()
-        if (predicate, key[1]) not in controlled
+        if predicate != GATE and (predicate, key[1]) not in controlled
     ]
     assert not missing, missing
+
+
+#: Inputs the experiments used to crash on; now they skip the summary note
+#: and the predicate reports the missing rows.
+UNSUMMARIZABLE = [
+    (fault_resilience, "hedging_pays",
+     dict(num_rows=2_000, num_disks=4, error_rates=(0.05,), limp_factors=()),
+     "limp factors []"),
+    (recovery_overhead, "checkpoints_pay",
+     dict(num_keys=500, num_updates=40, checkpoint_intervals=(10, 20)),
+     "got intervals [10, 20]"),
+    (recovery_overhead, "checkpoints_pay",
+     dict(num_keys=500, num_updates=40, checkpoint_intervals=(0,)),
+     "got intervals [0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, predicate, kwargs, fragment",
+    UNSUMMARIZABLE,
+    ids=["no-limp-factors", "no-interval-0", "no-nonzero-interval"],
+)
+def test_predicate_reports_rows_its_experiment_cannot_summarize(
+    experiment, predicate, kwargs, fragment
+):
+    result = experiment(**kwargs)
+    assert result.notes == []
+    failures = PREDICATES[predicate].check(result.rows)
+    assert any(fragment in msg for msg in failures), failures
 
 
 CLAIM_REJECTIONS = [
