@@ -20,7 +20,7 @@ Races the two memory-trace engines on the *same* recorded search workload:
 
 A second race covers the serving tree's batched in-page search: the
 vectorized ``route_batch_in_page``/``search_leaf_page_batch`` helpers vs
-the scalar ``_route_in_page``/``_search_leaf_page`` walks, over every
+the scalar routing kernel's ``FpPage.child_pid``/``FpPage.find``, over every
 page of a built MiniDbms index and a mixed hit/miss probe batch.  Results
 are asserted identical before timing; the record lands under
 ``inpage_route`` in the same JSON file.
@@ -51,7 +51,6 @@ from repro.btree.batch import (
     route_batch_in_page,
     search_leaf_page_batch,
 )
-from repro.btree.cc import _route_in_page, _search_leaf_page
 from repro.btree.context import TreeEnvironment
 from repro.btree.trace import RecordingTracer
 from repro.core.disk_first import DiskFirstFpTree
@@ -240,9 +239,9 @@ def inpage_race(interior: list, leaves: list, batch: np.ndarray, reps: int) -> d
     def scalar_pass() -> list[list[int]]:
         out = []
         for page in interior:
-            out.append([_route_in_page(page, key) for key in keys_list])
+            out.append([page.child_pid(key) for key in keys_list])
         for page in leaves:
-            out.append([_search_leaf_page(page, key) or 0 for key in keys_list])
+            out.append([page.find(key) or 0 for key in keys_list])
         return out
 
     def vector_pass() -> list[list[int]]:

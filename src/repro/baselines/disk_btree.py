@@ -13,6 +13,7 @@ exactly what the fpB+-Trees attack.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -198,14 +199,39 @@ class DiskBPlusTree(Index):
             self.layout.key_address(base, 0), self.layout.key_size, self.tracer,
         )
 
+    def _entry_slot(self, page: DiskPage, base: int, key: int) -> int:
+        """Insertion slot within a leaf page, traced only if the tracer is.
+
+        Untraced, one ``bisect`` over the whole key array gives the slot
+        every ``_locate_slot`` override finds (micro-indexing's sub-array
+        pick included), with no simulated addresses computed.
+        """
+        if not self.tracer.active:
+            return bisect_left(page.keys, key, 0, page.count)
+        return self._locate_slot(page, base, key)
+
     def _descend(self, key: int, record_path: bool = False, side: str = "right"):
         """Walk from the root to the leaf for ``key``.
 
         Returns ``(leaf_pid, leaf_page, leaf_base, path)`` where path is a
-        list of ``(pid, slot)`` for each non-leaf page visited.
+        list of ``(pid, slot)`` for each non-leaf page visited.  Untraced,
+        each page routes by one ``bisect`` (the slot any ``_locate_child``
+        override finds) between the same buffer-pool accesses.
         """
         path: list[tuple[int, int]] = []
         pid = self.root_pid
+        if not self.tracer.active:
+            search = bisect_right if side == "right" else bisect_left
+            page, base = self.pool.access(pid)
+            while page.level > 0:
+                slot = search(page.keys, key, 0, page.count) - 1
+                if slot < 0:
+                    slot = 0
+                if record_path:
+                    path.append((pid, slot))
+                pid = int(page.ptrs[slot])
+                page, base = self.pool.access(pid)
+            return pid, page, base, path
         page, base = self._page(pid)
         while page.level > 0:
             self.tracer.visit_node()
@@ -221,7 +247,7 @@ class DiskBPlusTree(Index):
         self.tracer.call_overhead()
         __, leaf, base, __ = self._descend(key)
         self.tracer.visit_node()
-        slot = self._locate_slot(leaf, base, key)
+        slot = self._entry_slot(leaf, base, key)
         if slot < leaf.count and int(leaf.keys[slot]) == key:
             self.tracer.read(self.layout.ptr_address(base, slot), TUPLE_ID_SIZE)
             return int(leaf.ptrs[slot])
@@ -233,7 +259,7 @@ class DiskBPlusTree(Index):
         self.tracer.call_overhead()
         with self._update_txn():
             pid, leaf, base, path = self._descend(key, record_path=True)
-            slot = self._locate_slot(leaf, base, key)
+            slot = self._entry_slot(leaf, base, key)
             if leaf.count < self.layout.capacity:
                 self._insert_into_page(leaf, base, slot, key, tid)
                 self.store.mark_dirty(pid)
@@ -243,10 +269,12 @@ class DiskBPlusTree(Index):
 
     def _insert_into_page(self, page: DiskPage, base: int, slot: int, key: int, ptr: int) -> None:
         """Shift entries right of ``slot`` and write the new entry."""
+        traced = self.tracer.active
         moved = page.count - slot
         if moved > 0:
             page.keys[slot + 1 : page.count + 1] = page.keys[slot:page.count].copy()
             page.ptrs[slot + 1 : page.count + 1] = page.ptrs[slot:page.count].copy()
+        if moved > 0 and traced:
             self.tracer.move(
                 self.layout.key_address(base, slot + 1),
                 self.layout.key_address(base, slot),
@@ -260,9 +288,10 @@ class DiskBPlusTree(Index):
         page.keys[slot] = key
         page.ptrs[slot] = ptr
         page.count += 1
-        self.tracer.write(self.layout.key_address(base, slot), self.layout.key_size)
-        self.tracer.write(self.layout.ptr_address(base, slot), self.layout.ptr_size)
-        self.tracer.write(base, 4)  # count field in the header
+        if traced:
+            self.tracer.write(self.layout.key_address(base, slot), self.layout.key_size)
+            self.tracer.write(self.layout.ptr_address(base, slot), self.layout.ptr_size)
+            self.tracer.write(base, 4)  # count field in the header
 
     def _split_and_insert(
         self,
@@ -362,7 +391,7 @@ class DiskBPlusTree(Index):
         self.tracer.call_overhead()
         with self._update_txn():
             pid, leaf, base, __ = self._descend(key)
-            slot = self._locate_slot(leaf, base, key)
+            slot = self._entry_slot(leaf, base, key)
             if slot >= leaf.count or int(leaf.keys[slot]) != key:
                 return False
             moved = leaf.count - slot - 1
@@ -402,7 +431,7 @@ class DiskBPlusTree(Index):
         count = 0
         tid_sum = 0
         while True:
-            hi = int(np.searchsorted(leaf.keys[: leaf.count], end_key, side="right"))
+            hi = bisect_right(leaf.keys, end_key, 0, leaf.count)
             taken = hi - slot
             if taken > 0:
                 # Sequential reads of the scanned key and tid ranges; the
@@ -428,8 +457,8 @@ class DiskBPlusTree(Index):
         count = 0
         tid_sum = 0
         while True:
-            hi = int(np.searchsorted(leaf.keys[: leaf.count], end_key, side="right"))
-            lo = int(np.searchsorted(leaf.keys[: leaf.count], start_key, side="left"))
+            hi = bisect_right(leaf.keys, end_key, 0, leaf.count)
+            lo = bisect_left(leaf.keys, start_key, 0, leaf.count)
             taken = hi - lo
             if taken > 0:
                 self.tracer.scan(self.layout.key_address(base, lo), taken * self.layout.key_size)
@@ -451,13 +480,18 @@ class DiskBPlusTree(Index):
             pid = self.store.page(pid).next_leaf
         return pids
 
-    def page_path(self, key: int) -> list[int]:
-        """Page ids visited by a search (untraced; for I/O experiments)."""
+    def page_path(self, key: int, side: str = "right") -> list[int]:
+        """Page ids visited by a search (untraced; for I/O experiments).
+
+        ``side="left"`` is a range scan's descent: it lands on the leftmost
+        leaf that may hold ``key``, before duplicates spanning leaves.
+        """
+        search = bisect_right if side == "right" else bisect_left
         path = [self.root_pid]
         page = self.store.page(self.root_pid)
         while page.level > 0:
-            slot = max(int(np.searchsorted(page.keys[: page.count], key, side="right")) - 1, 0)
-            pid = int(page.ptrs[slot])
+            slot = search(page.keys, key, 0, page.count) - 1
+            pid = int(page.ptrs[slot if slot > 0 else 0])
             path.append(pid)
             page = self.store.page(pid)
         return path
@@ -474,9 +508,8 @@ class DiskBPlusTree(Index):
         """Positioned cursor: descend to the start key, then walk leaves."""
         if end_key < start_key:
             return
-        pid = self.page_path_biased(start_key)
-        page = self.store.page(pid)
-        slot = int(np.searchsorted(page.keys[: page.count], start_key, side="left"))
+        page = self.store.page(self.page_path(start_key, side="left")[-1])
+        slot = bisect_left(page.keys, start_key, 0, page.count)
         while True:
             for i in range(slot, page.count):
                 key = int(page.keys[i])
@@ -487,16 +520,6 @@ class DiskBPlusTree(Index):
                 return
             page = self.store.page(page.next_leaf)
             slot = 0
-
-    def page_path_biased(self, key: int) -> int:
-        """Leaf pid for a left-biased (scan) descent, untraced."""
-        page = self.store.page(self.root_pid)
-        pid = self.root_pid
-        while page.level > 0:
-            slot = max(int(np.searchsorted(page.keys[: page.count], key, side="left")) - 1, 0)
-            pid = int(page.ptrs[slot])
-            page = self.store.page(pid)
-        return pid
 
     def _iter_level(self, pid: int) -> Iterator[tuple[int, DiskPage]]:
         page = self.store.page(pid)

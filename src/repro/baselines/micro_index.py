@@ -179,6 +179,8 @@ class MicroIndexTree(DiskBPlusTree):
         An insertion or deletion shifts every key at or after the affected
         slot, so the first key of every later sub-array changes.
         """
+        if not self.tracer.active:
+            return
         layout = self.layout
         used = layout.used_subarrays(page.count)
         first = layout.subarray_of(min(from_slot, max(page.count - 1, 0)))

@@ -20,8 +20,8 @@ layout (arXiv:2505.01180):
 * **Vectorized in-page search.**  Each visited page's in-page leaf nodes
   are flattened once into sorted separator arrays and every key routed
   with one ``np.searchsorted`` call (:func:`route_batch_in_page`,
-  :func:`search_leaf_page_batch`) — bit-equivalent to the scalar
-  :func:`~repro.btree.cc._route_in_page` walk, at numpy speed.
+  :func:`search_leaf_page_batch`) — bit-equivalent to the scalar routing
+  kernel's :meth:`~repro.core.inpage.FpPage.child_pid` walk, at numpy speed.
 
 Concurrency follows the mode of the :class:`~repro.btree.cc.ConcurrentTreeOps`
 the batch is given:
@@ -80,7 +80,7 @@ def page_separator_arrays(page) -> tuple[np.ndarray, np.ndarray]:
 def route_batch_in_page(page, keys: np.ndarray) -> np.ndarray:
     """Route a sorted key batch through one interior page to child page ids.
 
-    Equivalent to ``[_route_in_page(page, k) for k in keys]`` (the slot of
+    Equivalent to ``[page.child_pid(k) for k in keys]`` (the slot of
     the rightmost separator ``<= k``, clamped to the first child for keys
     below every separator), in one vectorized ``searchsorted``.
     """
@@ -101,7 +101,7 @@ def search_leaf_page_batch(page, keys: np.ndarray) -> np.ndarray:
 
     Tuple ids are 1-based everywhere (see ``MiniDbms.lookup``), so 0 is
     free to encode "not present".  Equivalent to per-key
-    :func:`~repro.btree.cc._search_leaf_page`.
+    :meth:`~repro.core.inpage.FpPage.find`.
     """
     seps, ptrs = page_separator_arrays(page)
     karr = np.asarray(keys, dtype=np.int64)

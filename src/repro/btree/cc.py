@@ -56,8 +56,6 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-import numpy as np
-
 from ..des import Environment, Event, SimulationError
 from .keys import INVALID_PAGE_ID
 
@@ -313,50 +311,6 @@ class PageLatchManager:
         }
 
 
-# -- untraced in-page helpers (mirror DiskFirstFpTree.page_path) ---------------
-
-
-def _route_in_page(page, key: int) -> int:
-    """Route ``key`` through an interior page to a child page id (atomic)."""
-    node = page.root
-    while node.kind == 0:  # NONLEAF (repro.core.inpage): walk to an in-page leaf
-        slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
-        node = page.nodes[int(node.ptrs[slot])]
-    slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
-    return int(node.ptrs[slot])
-
-
-def _search_leaf_page(page, key: int) -> Optional[int]:
-    """Find ``key``'s tuple id inside one leaf page (atomic)."""
-    node = page.root
-    while node.kind == 0:
-        slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
-        node = page.nodes[int(node.ptrs[slot])]
-    slot = int(np.searchsorted(node.keys[: node.count], key, side="left"))
-    if slot < node.count and int(node.keys[slot]) == key:
-        return int(node.ptrs[slot])
-    return None
-
-
-def _scan_leaf_page(page, start_key: int, end_key: int) -> tuple[int, int, bool]:
-    """Count entries of one leaf page in [start, end] (atomic).
-
-    Returns ``(count, next_pid, done)`` where ``done`` means some entry past
-    ``end_key`` lives in this page, so the walk can stop.
-    """
-    count = 0
-    done = False
-    for node in page.leaf_nodes_in_order():
-        if node.count == 0:
-            continue
-        lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-        hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
-        count += hi - lo
-        if hi < node.count:
-            done = True
-    return count, int(page.next_page), done
-
-
 class ConcurrentTreeOps:
     """Concurrent lookup/scan/insert generators over one serving substrate.
 
@@ -367,8 +321,8 @@ class ConcurrentTreeOps:
     the linearizability checker must reject).
 
     The tree must be a :class:`~repro.core.disk_first.DiskFirstFpTree` (the
-    serving layer's default index); the in-page routing helpers mirror its
-    untraced ``page_path`` logic.
+    serving layer's default index): pages are read atomically through its
+    untraced routing kernel (:class:`~repro.core.inpage.FpPage`).
     """
 
     MODES = ("page", "coarse", "broken")
@@ -446,7 +400,7 @@ class ConcurrentTreeOps:
                 if validating and not latches.validate(pid, path[-1][1]):
                     return False, path
                 return True, path
-            child = _route_in_page(page, key)
+            child = page.child_pid(key)
             child_version = yield from latches.read_begin(child, owner)
             if validating and not latches.validate(pid, path[-1][1]):
                 return False, path
@@ -483,7 +437,7 @@ class ConcurrentTreeOps:
                 page = tree.store.page(pid)
                 if page.level == 0:
                     return pid, held, path
-                child = _route_in_page(page, key)
+                child = page.child_pid(key)
                 yield from latches.write_acquire(child, owner)
                 path.append(child)
                 if not crabbing_for_insert or self._page_safe(tree.store.page(child)):
@@ -532,7 +486,7 @@ class ConcurrentTreeOps:
             ok, path = yield from self._optimistic_descend(reader, key, owner)
             if ok:
                 leaf_pid = path[-1][0]
-                tid = _search_leaf_page(tree.store.page(leaf_pid), key)
+                tid = tree.store.page(leaf_pid).find(key)
                 break
             restarts += 1
             self.read_restarts += 1
@@ -542,7 +496,7 @@ class ConcurrentTreeOps:
                     reader, key, owner, crabbing_for_insert=False
                 )
                 try:
-                    tid = _search_leaf_page(tree.store.page(leaf_pid), key)
+                    tid = tree.store.page(leaf_pid).find(key)
                 finally:
                     for pid in reversed(held):
                         self.latches.write_release(pid, owner)
@@ -614,9 +568,9 @@ class ConcurrentTreeOps:
         count = 0
         truncated = False
         while True:
-            count_here, next_pid, done = _scan_leaf_page(
-                tree.store.page(pid), start_key, end_key
-            )
+            page = tree.store.page(pid)
+            count_here, __, done = page.range_count(start_key, end_key)
+            next_pid = page.next_page
             if validating and not latches.validate(pid, version):
                 return None
             visited.append((pid, version))
@@ -656,9 +610,9 @@ class ConcurrentTreeOps:
         try:
             pid = leaf_pid
             while True:
-                count_here, next_pid, done = _scan_leaf_page(
-                    tree.store.page(pid), start_key, end_key
-                )
+                page = tree.store.page(pid)
+                count_here, __, done = page.range_count(start_key, end_key)
+                next_pid = page.next_page
                 count += count_here
                 if done or next_pid == INVALID_PAGE_ID:
                     break

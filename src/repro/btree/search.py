@@ -9,6 +9,8 @@ while a cache-line-sized node turns the last probes into cache hits).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from .trace import NULL_TRACER, Tracer
@@ -28,12 +30,18 @@ def traced_searchsorted(
     """Binary search matching ``np.searchsorted(keys[:count], key, side)``.
 
     Each probe charges a demand load of the probed key plus compare/branch
-    costs.  ``base_address`` is the simulated address of ``keys[0]``.
+    costs.  ``base_address`` is the simulated address of ``keys[0]``.  With
+    no active tracer nothing is charged, and a plain ``bisect`` finds the
+    same position.
     """
     if count < 0 or count > len(keys):
         raise ValueError(f"count {count} out of range for capacity {len(keys)}")
     if not tracer.active:
-        return int(np.searchsorted(keys[:count], key, side=side))
+        if side == "left":
+            return bisect_left(keys, key, 0, count)
+        if side == "right":
+            return bisect_right(keys, key, 0, count)
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     lo, hi = 0, count
     if side == "left":
         while lo < hi:

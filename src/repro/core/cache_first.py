@@ -28,6 +28,7 @@ subtrees together, rather than orphaning nodes or cascading promotions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -219,6 +220,15 @@ class CacheFirstFpTree(Index):
 
     def _visit(self, node: CfNode) -> None:
         """Fetch a node, paying the buffer manager only on page crossings."""
+        if not self.tracer.active:
+            if node.pid != self._current_pid:
+                self.pool.access(node.pid)
+                self._current_pid = node.pid
+            else:
+                # The traced path re-derives the node's address, which
+                # faults its page back in if a split evicted it meanwhile.
+                self.pool.address_of(node.pid)
+            return
         if node.pid != self._current_pid:
             self.pool.access(node.pid)
             self.tracer.read(self.pool.address_of(node.pid), 16)
@@ -234,6 +244,13 @@ class CacheFirstFpTree(Index):
     def _descend(self, key: int, side: str = "right") -> CfNode:
         node = self.root
         self._visit(node)
+        if not self.tracer.active:
+            search = bisect_right if side == "right" else bisect_left
+            while not node.is_leaf:
+                slot = search(node.keys, key, 0, node.count) - 1
+                node = node.children[slot if slot > 0 else 0]
+                self._visit(node)
+            return node
         while not node.is_leaf:
             slot = child_slot(
                 node.keys, node.count, key,
@@ -244,6 +261,15 @@ class CacheFirstFpTree(Index):
             node = node.children[slot]
             self._visit(node)
         return node
+
+    def _entry_slot(self, leaf: CfNode, key: int) -> int:
+        """First slot of ``leaf`` holding a key ``>= key``."""
+        if not self.tracer.active:
+            return bisect_left(leaf.keys, key, 0, leaf.count)
+        return insertion_slot(
+            leaf.keys, leaf.count, key,
+            self._key_address(leaf, 0), self.keyspec.size, self.tracer,
+        )
 
     # -- public interface ------------------------------------------------------------------
 
@@ -258,10 +284,7 @@ class CacheFirstFpTree(Index):
     def search(self, key: int) -> Optional[int]:
         self._begin_op()
         leaf = self._descend(key)
-        slot = insertion_slot(
-            leaf.keys, leaf.count, key,
-            self._key_address(leaf, 0), self.keyspec.size, self.tracer,
-        )
+        slot = self._entry_slot(leaf, key)
         if slot < leaf.count and int(leaf.keys[slot]) == key:
             self.tracer.read(self._ptr_address(leaf, slot), TUPLE_ID_SIZE)
             return int(leaf.tids[slot])
@@ -401,10 +424,7 @@ class CacheFirstFpTree(Index):
     def insert(self, key: int, tid: int) -> None:
         self._begin_op()
         leaf = self._descend(key)
-        slot = insertion_slot(
-            leaf.keys, leaf.count, key,
-            self._key_address(leaf, 0), self.keyspec.size, self.tracer,
-        )
+        slot = self._entry_slot(leaf, key)
         if leaf.count < self.leaf_capacity:
             self._leaf_insert(leaf, slot, key, tid)
         else:
@@ -412,10 +432,14 @@ class CacheFirstFpTree(Index):
         self._entries += 1
 
     def _leaf_insert(self, leaf: CfNode, slot: int, key: int, tid: int) -> None:
+        # Every caller has just accessed or addressed the leaf's page, so the
+        # untraced path drops these address re-derivations.
+        traced = self.tracer.active
         moved = leaf.count - slot
         if moved > 0:
             leaf.keys[slot + 1 : leaf.count + 1] = leaf.keys[slot:leaf.count].copy()
             leaf.tids[slot + 1 : leaf.count + 1] = leaf.tids[slot:leaf.count].copy()
+        if moved > 0 and traced:
             self.tracer.move(
                 self._key_address(leaf, slot + 1), self._key_address(leaf, slot),
                 moved * self.keyspec.size,
@@ -427,9 +451,10 @@ class CacheFirstFpTree(Index):
         leaf.keys[slot] = key
         leaf.tids[slot] = tid
         leaf.count += 1
-        self.tracer.write(self._key_address(leaf, slot), self.keyspec.size)
-        self.tracer.write(self._ptr_address(leaf, slot), TUPLE_ID_SIZE)
-        self.tracer.write(self._node_address(leaf), 4)
+        if traced:
+            self.tracer.write(self._key_address(leaf, slot), self.keyspec.size)
+            self.tracer.write(self._ptr_address(leaf, slot), TUPLE_ID_SIZE)
+            self.tracer.write(self._node_address(leaf), 4)
 
     def _nonleaf_insert(self, node: CfNode, slot: int, key: int, child: CfNode) -> None:
         moved = node.count - slot
@@ -728,10 +753,7 @@ class CacheFirstFpTree(Index):
     def delete(self, key: int) -> bool:
         self._begin_op()
         leaf = self._descend(key)
-        slot = insertion_slot(
-            leaf.keys, leaf.count, key,
-            self._key_address(leaf, 0), self.keyspec.size, self.tracer,
-        )
+        slot = self._entry_slot(leaf, key)
         if slot >= leaf.count or int(leaf.keys[slot]) != key:
             return False
         moved = leaf.count - slot - 1
@@ -775,8 +797,8 @@ class CacheFirstFpTree(Index):
                 for resident in page.nodes():
                     self.tracer.prefetch(self._node_address(resident), self.node_bytes)
                 prefetched_pid = node.pid
-            lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-            hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
+            lo = bisect_left(node.keys, start_key, 0, node.count)
+            hi = bisect_right(node.keys, end_key, 0, node.count)
             taken = hi - lo
             if taken > 0:
                 self.tracer.scan(self._key_address(node, lo), taken * self.keyspec.size)
@@ -814,8 +836,8 @@ class CacheFirstFpTree(Index):
             for node in reversed(self._page_leaves_in_order(page)):
                 if node.count == 0:
                     continue
-                lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-                hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
+                lo = bisect_left(node.keys, start_key, 0, node.count)
+                hi = bisect_right(node.keys, end_key, 0, node.count)
                 taken = hi - lo
                 if taken > 0:
                     self.tracer.scan(self._key_address(node, lo), taken * self.keyspec.size)
@@ -854,8 +876,8 @@ class CacheFirstFpTree(Index):
                 path.append(node.pid)
             if node.is_leaf:
                 return path
-            slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
-            node = node.children[slot]
+            slot = bisect_right(node.keys, key, 0, node.count) - 1
+            node = node.children[slot if slot > 0 else 0]
 
     def items(self) -> Iterable[tuple[int, int]]:
         node = self.first_leaf

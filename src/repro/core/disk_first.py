@@ -23,6 +23,7 @@ Operation highlights (Section 3.1.2):
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -86,7 +87,12 @@ class DiskFirstFpTree(Index):
         self.tracer.read(base, 16)  # page header
         return page, base
 
-    # -- traced in-page operations ---------------------------------------------------
+    # -- in-page operations ------------------------------------------------------------
+    #
+    # Each routing step has a traced form, which charges the simulated memory
+    # system, and an untraced one through the page's routing kernel
+    # (``FpPage.leaf_for`` and friends), chosen by ``tracer.active`` alone.
+    # Both make the same buffer-pool accesses in the same order.
 
     def _fetch_node(self, base: int, node: InPageNode) -> None:
         self.tracer.prefetch(self.layout.node_address(base, node), self.layout.node_bytes(node))
@@ -98,6 +104,8 @@ class DiskFirstFpTree(Index):
     ) -> tuple[InPageNode, list[tuple[InPageNode, int]]]:
         """Walk the in-page tree to the in-page leaf node for ``key``."""
         path: list[tuple[InPageNode, int]] = []
+        if not self.tracer.active:
+            return page.leaf_for(key, side, path if record_path else None), path
         node = page.root
         self._fetch_node(base, node)
         while node.kind == NONLEAF:
@@ -124,14 +132,25 @@ class DiskFirstFpTree(Index):
         self.tracer.read(self.layout.ptr_address(base, node, slot), 4)
         return int(node.ptrs[slot])
 
+    def _entry_slot(self, base: int, node: InPageNode, key: int) -> int:
+        """First slot of an in-page leaf node holding a key ``>= key``."""
+        if not self.tracer.active:
+            return bisect_left(node.keys, key, 0, node.count)
+        return insertion_slot(
+            node.keys, node.count, key,
+            self.layout.key_address(base, node, 0), self.keyspec.size, self.tracer,
+        )
+
     def _node_insert(
         self, page: FpPage, base: int, node: InPageNode, slot: int, key: int, value: int
     ) -> None:
         """Shift within one small node and write the new entry."""
+        traced = self.tracer.active
         moved = node.count - slot
         if moved > 0:
             node.keys[slot + 1 : node.count + 1] = node.keys[slot:node.count].copy()
             node.ptrs[slot + 1 : node.count + 1] = node.ptrs[slot:node.count].copy()
+        if moved > 0 and traced:
             self.tracer.move(
                 self.layout.key_address(base, node, slot + 1),
                 self.layout.key_address(base, node, slot),
@@ -146,9 +165,10 @@ class DiskFirstFpTree(Index):
         node.keys[slot] = key
         node.ptrs[slot] = value
         node.count += 1
-        self.tracer.write(self.layout.key_address(base, node, slot), self.keyspec.size)
-        self.tracer.write(self.layout.ptr_address(base, node, slot), self.layout.ptr_size(node))
-        self.tracer.write(self.layout.node_address(base, node), 4)  # node header
+        if traced:
+            self.tracer.write(self.layout.key_address(base, node, slot), self.keyspec.size)
+            self.tracer.write(self.layout.ptr_address(base, node, slot), self.layout.ptr_size(node))
+            self.tracer.write(self.layout.node_address(base, node), 4)  # node header
 
     # -- public interface ----------------------------------------------------------
 
@@ -218,6 +238,14 @@ class DiskFirstFpTree(Index):
         """
         path: list[int] = []
         pid = self.root_pid
+        if not self.tracer.active:
+            page, base = self.pool.access(pid)
+            while page.level > 0:
+                if record_path:
+                    path.append(pid)
+                pid = page.child_pid(key, side)
+                page, base = self.pool.access(pid)
+            return pid, page, base, path
         page, base = self._page(pid)
         while page.level > 0:
             if record_path:
@@ -227,13 +255,12 @@ class DiskFirstFpTree(Index):
         return pid, page, base, path
 
     def search(self, key: int) -> Optional[int]:
+        if not self.tracer.active:
+            return self._descend_to_leaf_page(key)[1].find(key)
         self.tracer.call_overhead()
         __, page, base, __ = self._descend_to_leaf_page(key)
         node, __ = self._inpage_descend(page, base, key)
-        slot = insertion_slot(
-            node.keys, node.count, key,
-            self.layout.key_address(base, node, 0), self.keyspec.size, self.tracer,
-        )
+        slot = self._entry_slot(base, node, key)
         if slot < node.count and int(node.keys[slot]) == key:
             self.tracer.read(self.layout.ptr_address(base, node, slot), TUPLE_ID_SIZE)
             return int(node.ptrs[slot])
@@ -253,10 +280,7 @@ class DiskFirstFpTree(Index):
     ) -> None:
         """Insert an entry into a page's in-page tree, splitting as needed."""
         node, node_path = self._inpage_descend(page, base, key, record_path=True)
-        slot = insertion_slot(
-            node.keys, node.count, key,
-            self.layout.key_address(base, node, 0), self.keyspec.size, self.tracer,
-        )
+        slot = self._entry_slot(base, node, key)
         if node.count < node.capacity:
             self._node_insert(page, base, node, slot, key, value)
             page.total += 1
@@ -271,10 +295,7 @@ class DiskFirstFpTree(Index):
             self._reorganize_page(pid, page, base)
             # Retry: the even redistribution guarantees a free slot.
             node, node_path = self._inpage_descend(page, base, key, record_path=True)
-            slot = insertion_slot(
-                node.keys, node.count, key,
-                self.layout.key_address(base, node, 0), self.keyspec.size, self.tracer,
-            )
+            slot = self._entry_slot(base, node, key)
             if node.count < node.capacity:
                 self._node_insert(page, base, node, slot, key, value)
             elif not self._try_node_split(page, base, node, node_path, slot, key, value):
@@ -669,10 +690,7 @@ class DiskFirstFpTree(Index):
         with self._update_txn():
             pid, page, base, __ = self._descend_to_leaf_page(key)
             node, __ = self._inpage_descend(page, base, key)
-            slot = insertion_slot(
-                node.keys, node.count, key,
-                self.layout.key_address(base, node, 0), self.keyspec.size, self.tracer,
-            )
+            slot = self._entry_slot(base, node, key)
             if slot >= node.count or int(node.keys[slot]) != key:
                 return False
             moved = node.count - slot - 1
@@ -699,80 +717,53 @@ class DiskFirstFpTree(Index):
     # -- range scan ---------------------------------------------------------------------------------
 
     def range_scan(self, start_key: int, end_key: int) -> ScanResult:
-        if end_key < start_key:
-            return ScanResult(0, 0)
-        self.tracer.call_overhead()
-        __, page, base, __ = self._descend_to_leaf_page(start_key, side="left")
-        count = 0
-        tid_sum = 0
-        while True:
-            nodes = page.leaf_nodes_in_order()
-            # Cache-granularity jump-pointer prefetch: the in-page space
-            # management structure locates every leaf node in the page, so
-            # they are all prefetched before scanning (Section 3.3).
-            for node in nodes:
-                self.tracer.prefetch(
-                    self.layout.node_address(base, node), self.layout.node_bytes(node)
-                )
-            done = False
-            for node in nodes:
-                if node.count == 0:
-                    continue
-                lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-                hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
-                taken = hi - lo
-                if taken > 0:
-                    self.tracer.scan(
-                        self.layout.key_address(base, node, lo), taken * self.keyspec.size
-                    )
-                    self.tracer.scan(
-                        self.layout.ptr_address(base, node, lo), taken * TUPLE_ID_SIZE
-                    )
-                    count += taken
-                    tid_sum += int(node.ptrs[lo:hi].sum(dtype=np.uint64))
-                if hi < node.count:
-                    done = True
-            if done or page.next_page == INVALID_PAGE_ID:
-                break
-            page, base = self._page(page.next_page)
-        return ScanResult(count, tid_sum)
+        return self._scan(start_key, end_key, reverse=False)
 
     def range_scan_reverse(self, start_key: int, end_key: int) -> ScanResult:
         """Scan [start_key, end_key] walking leaf pages right-to-left."""
+        return self._scan(start_key, end_key, reverse=True)
+
+    def _scan(self, start_key: int, end_key: int, reverse: bool) -> ScanResult:
+        """Count one leaf page at a time (``FpPage.range_count``) from the
+        descent leaf along the sibling chain, until a page holds an entry
+        past the range."""
         if end_key < start_key:
             return ScanResult(0, 0)
+        traced = self.tracer.active
         self.tracer.call_overhead()
-        __, page, base, __ = self._descend_to_leaf_page(end_key)
-        count = 0
-        tid_sum = 0
+        if reverse:
+            __, page, base, __ = self._descend_to_leaf_page(end_key)
+        else:
+            __, page, base, __ = self._descend_to_leaf_page(start_key, side="left")
+        count = tid_sum = 0
         while True:
-            nodes = page.leaf_nodes_in_order()
-            for node in nodes:
-                self.tracer.prefetch(
-                    self.layout.node_address(base, node), self.layout.node_bytes(node)
-                )
-            done = False
-            for node in reversed(nodes):
-                if node.count == 0:
-                    continue
-                lo = int(np.searchsorted(node.keys[: node.count], start_key, side="left"))
-                hi = int(np.searchsorted(node.keys[: node.count], end_key, side="right"))
-                taken = hi - lo
-                if taken > 0:
-                    self.tracer.scan(
-                        self.layout.key_address(base, node, lo), taken * self.keyspec.size
+            charge = None
+            if traced:
+                # Cache-granularity jump-pointer prefetch: the in-page space
+                # management structure locates every leaf node in the page,
+                # so they are all prefetched before scanning (Section 3.3).
+                for node in page.leaf_nodes_in_order():
+                    self.tracer.prefetch(
+                        self.layout.node_address(base, node), self.layout.node_bytes(node)
                     )
-                    self.tracer.scan(
-                        self.layout.ptr_address(base, node, lo), taken * TUPLE_ID_SIZE
-                    )
-                    count += taken
-                    tid_sum += int(node.ptrs[lo:hi].sum(dtype=np.uint64))
-                if lo > 0:
-                    done = True
-            if done or page.prev_page == INVALID_PAGE_ID:
-                break
-            page, base = self._page(page.prev_page)
-        return ScanResult(count, tid_sum)
+                charge = self._scan_charge(base)
+            taken, tids, done = page.range_count(start_key, end_key, reverse, charge)
+            count += taken
+            tid_sum += tids
+            pid = page.prev_page if reverse else page.next_page
+            if done or pid == INVALID_PAGE_ID:
+                return ScanResult(count, tid_sum)
+            page, base = self._page(pid)
+
+    def _scan_charge(self, base: int):
+        """Charges for reading entries ``[lo, hi)`` of a node in the page at ``base``."""
+
+        def charge(node: InPageNode, lo: int, hi: int) -> None:
+            taken = hi - lo
+            self.tracer.scan(self.layout.key_address(base, node, lo), taken * self.keyspec.size)
+            self.tracer.scan(self.layout.ptr_address(base, node, lo), taken * TUPLE_ID_SIZE)
+
+        return charge
 
     # -- introspection ---------------------------------------------------------------------------------
 
@@ -789,14 +780,7 @@ class DiskFirstFpTree(Index):
         path = [self.root_pid]
         page = self.store.page(self.root_pid)
         while page.level > 0:
-            node = page.root
-            while node.kind == NONLEAF:
-                slot = max(
-                    int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0
-                )
-                node = page.nodes[int(node.ptrs[slot])]
-            slot = max(int(np.searchsorted(node.keys[: node.count], key, side="right")) - 1, 0)
-            pid = int(node.ptrs[slot])
+            pid = page.child_pid(key)
             path.append(pid)
             page = self.store.page(pid)
         return path

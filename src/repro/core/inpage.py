@@ -17,6 +17,7 @@ the same cache sets (paper Section 4.1).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 import numpy as np
@@ -52,20 +53,25 @@ class LineAllocator:
     def alloc(self, width: int, hint: int = 0) -> Optional[int]:
         """Find ``width`` contiguous free lines, searching from ``hint``.
 
+        First fit from ``max(hint, reserved_lines)`` to the end of the page,
+        then wrapping around from the first allocatable line: the first run
+        starting at or after the hint wins, else the first run before it.
         Returns the starting line, or None if no run is available.
         """
         if width <= 0:
             raise ValueError(f"width must be positive, got {width}")
         start = max(self.reserved_lines, hint)
-        order = list(range(start, self.total_lines - width + 1)) + list(
-            range(self.reserved_lines, min(start, self.total_lines - width + 1))
-        )
-        for candidate in order:
-            if not any(self._used[candidate : candidate + width]):
-                for line in range(candidate, candidate + width):
-                    self._used[line] = 1
-                return candidate
-        return None
+        free_run = bytes(width)
+        line = self._used.find(free_run, start)
+        if line < 0:
+            # Wrapped candidates start before ``start`` but may end past it.
+            line = self._used.find(
+                free_run, self.reserved_lines, min(start + width - 1, self.total_lines)
+            )
+            if line < 0:
+                return None
+        self._used[line : line + width] = b"\x01" * width
+        return line
 
     def free(self, line: int, width: int) -> None:
         if line < self.reserved_lines or line + width > self.total_lines:
@@ -144,6 +150,80 @@ class FpPage:
             return next((key for key in keys if key is not None), None)
 
         return first(self.root_line) if self.root_line >= 0 else None
+
+    # -- untraced routing kernel ---------------------------------------------
+    #
+    # The searches a traced descent makes, without simulated addresses.  Each
+    # in-node ``bisect`` over ``keys[:count]`` compares exact Python ints, as
+    # the traced probe loop does, so on 4-byte keys it equals
+    # ``np.searchsorted(keys[:count], key, side)`` for negative keys, keys
+    # below the minimum and keys past 2**32 alike (on 8-byte keys above 2**53
+    # NumPy compares through float64; bisect stays exact), at a fraction of
+    # the per-call cost on nodes a few cache lines wide.
+
+    def leaf_for(
+        self, key: int, side: str = "right", path: Optional[list] = None
+    ) -> InPageNode:
+        """The in-page leaf node a search for ``key`` lands in.
+
+        Each non-leaf node routes to its last child whose separator is
+        ``<= key`` (``< key`` for ``side="left"``), clamped to the first.
+        ``path``, if given, collects the ``(node, slot)`` pairs passed.
+        """
+        search = bisect_right if side == "right" else bisect_left
+        nodes = self.nodes
+        node = nodes[self.root_line]
+        while node.kind == NONLEAF:
+            slot = search(node.keys, key, 0, node.count) - 1
+            if slot < 0:
+                slot = 0
+            if path is not None:
+                path.append((node, slot))
+            node = nodes[int(node.ptrs[slot])]
+        return node
+
+    def child_pid(self, key: int, side: str = "right") -> int:
+        """Route ``key`` through this interior page to a child page id."""
+        node = self.leaf_for(key, side)
+        slot = (bisect_right if side == "right" else bisect_left)(node.keys, key, 0, node.count)
+        return int(node.ptrs[slot - 1 if slot > 0 else 0])
+
+    def find(self, key: int) -> Optional[int]:
+        """Tuple id stored under ``key`` in this leaf page, else None."""
+        node = self.leaf_for(key)
+        slot = bisect_left(node.keys, key, 0, node.count)
+        if slot < node.count and node.keys[slot] == key:
+            return int(node.ptrs[slot])
+        return None
+
+    def range_count(
+        self, start_key: int, end_key: int, reverse: bool = False, charge=None
+    ) -> tuple[int, int, bool]:
+        """``(count, tid_sum, done)`` of this leaf page's entries in
+        ``[start_key, end_key]``.
+
+        ``done`` means the scan can stop here: some entry lies past
+        ``end_key`` (or, walking right to left with ``reverse``, before
+        ``start_key``).  ``charge(node, lo, hi)``, if given, is called for
+        each node's run of entries in range, in scan order.
+        """
+        count = tid_sum = 0
+        done = False
+        nodes = self.leaf_nodes_in_order()
+        for node in reversed(nodes) if reverse else nodes:
+            n = node.count
+            if n == 0:
+                continue
+            lo = bisect_left(node.keys, start_key, 0, n)
+            hi = bisect_right(node.keys, end_key, 0, n)
+            count += hi - lo
+            if hi > lo:
+                tid_sum += sum(node.ptrs[lo:hi].tolist())
+                if charge is not None:
+                    charge(node, lo, hi)
+            if (lo > 0) if reverse else (hi < n):
+                done = True
+        return count, tid_sum, done
 
 
 class DiskFirstLayout:

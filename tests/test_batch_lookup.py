@@ -28,7 +28,6 @@ from repro.btree.batch import (
     route_batch_in_page,
     search_leaf_page_batch,
 )
-from repro.btree.cc import _route_in_page, _search_leaf_page
 from repro.des import Environment
 from repro.dbms.engine import MiniDbms
 from repro.serve.server import DbmsServer
@@ -92,12 +91,12 @@ def test_vectorized_routing_matches_scalar_walk():
     for page in walk_pages(db.index):
         if page.level > 0:
             got = route_batch_in_page(page, probes)
-            want = [_route_in_page(page, int(k)) for k in probes]
+            want = [page.child_pid(int(k)) for k in probes]
             assert got.tolist() == want, f"routing mismatch on page {page}"
             checked_interior += 1
         else:
             got = search_leaf_page_batch(page, probes)
-            want = [(_search_leaf_page(page, int(k)) or 0) for k in probes]
+            want = [(page.find(int(k)) or 0) for k in probes]
             assert got.tolist() == want
             checked_leaf += 1
     assert checked_interior >= 1 and checked_leaf >= 2
@@ -110,15 +109,15 @@ _PROP_DB = make_db(num_rows=300, seed=3)
 @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=32))
 def test_vectorized_routing_property(keys):
     """Arbitrary probe batches (negatives included) route and search
-    identically to the scalar helpers on every page of a real tree."""
+    identically to the scalar routing kernel on every page of a real tree."""
     probes = np.asarray(sorted(keys), dtype=np.int64)
     for page in walk_pages(_PROP_DB.index):
         if page.level > 0:
             got = route_batch_in_page(page, probes)
-            want = [_route_in_page(page, int(k)) for k in probes]
+            want = [page.child_pid(int(k)) for k in probes]
         else:
             got = search_leaf_page_batch(page, probes)
-            want = [(_search_leaf_page(page, int(k)) or 0) for k in probes]
+            want = [(page.find(int(k)) or 0) for k in probes]
         assert got.tolist() == want
 
 

@@ -70,6 +70,44 @@ def test_line_allocator_never_overlaps(operations):
     assert allocator.free_lines == 63 - sum(w for __, w in live)
 
 
+def reference_first_fit(used: list[int], reserved: int, width: int, hint: int):
+    """The candidate order ``LineAllocator.alloc`` keeps: every start from
+    ``max(hint, reserved)`` to the last that fits, then wrap from ``reserved``."""
+    total = len(used)
+    start = max(reserved, hint)
+    order = list(range(start, total - width + 1)) + list(
+        range(reserved, min(start, total - width + 1))
+    )
+    return next((c for c in order if not any(used[c : c + width])), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    total=st.integers(2, 80),
+    reserved=st.integers(1, 4),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+    width=st.integers(1, 12),
+    hint=st.integers(-3, 90),
+)
+def test_line_allocator_first_fit_order(total, reserved, density, seed, width, hint):
+    if reserved >= total:
+        return
+    rng = np.random.default_rng(seed)
+    allocator = LineAllocator(total, reserved_lines=reserved)
+    used = [1] * reserved + [int(bit) for bit in rng.random(total - reserved) < density]
+    for line, bit in enumerate(used):
+        if bit and line >= reserved:
+            assert allocator.alloc(1, hint=line) == line
+    want = reference_first_fit(used, reserved, width, hint)
+    assert allocator.alloc(width, hint=hint) == want
+    if want is not None:
+        assert all(allocator.is_used(line) for line in range(want, want + width))
+        assert allocator.free_lines == used.count(0) - width
+    else:
+        assert allocator.free_lines == used.count(0)
+
+
 # -- Cache LRU model ---------------------------------------------------------------
 
 
